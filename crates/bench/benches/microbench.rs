@@ -138,9 +138,6 @@ fn bench_fastpath(c: &mut Criterion) {
                 margin_cycles: 64,
                 fastpath,
                 batch: true,
-                warmstart: true,
-                sparse: true,
-                static_preclassify: true,
             },
         )
         .expect("campaign");
@@ -211,9 +208,6 @@ fn bench_batch(c: &mut Criterion) {
             margin_cycles: 64,
             fastpath: true,
             batch: true,
-            warmstart: true,
-            sparse: true,
-            static_preclassify: true,
         },
     )
     .expect("campaign");

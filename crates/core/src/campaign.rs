@@ -40,24 +40,6 @@ pub struct CampaignConfig {
     /// the scalar path. With this off, [`Campaign::run_batched`] falls
     /// back to the scalar executor wholesale.
     pub batch: bool,
-    /// Whether batched cohort passes warm-start from the nearest golden
-    /// checkpoint at or before the cohort's earliest injection instant
-    /// instead of replaying the pristine prefix from cycle 0. Host
-    /// wall-clock only — bit-identical results either way.
-    pub warmstart: bool,
-    /// Whether the lane engine's settle evaluates only the fan-out cone
-    /// of changed words (the sparse divergence-frontier scheduler)
-    /// instead of sweeping the whole netlist. Host wall-clock only —
-    /// bit-identical results either way.
-    pub sparse: bool,
-    /// Whether executors honour the plan's static pre-classification:
-    /// experiments the cone-of-influence analysis proved Silent replay
-    /// their reconfiguration ledger without simulating a single workload
-    /// cycle. Host wall-clock only — outcomes, traffic and modelled
-    /// emulation time are bit-identical to executing them (the soundness
-    /// suite enforces this). Plans are annotated either way; this flag
-    /// only controls whether execution skips.
-    pub static_preclassify: bool,
 }
 
 impl Default for CampaignConfig {
@@ -67,9 +49,6 @@ impl Default for CampaignConfig {
             margin_cycles: 64,
             fastpath: fastpath_default(),
             batch: batch_default(),
-            warmstart: warmstart_default(),
-            sparse: fades_fpga::sparse_default(),
-            static_preclassify: static_default(),
         }
     }
 }
@@ -92,27 +71,6 @@ pub fn fastpath_default() -> bool {
 /// both paths (the differential test relies on this).
 pub fn batch_default() -> bool {
     !matches!(std::env::var("FADES_NO_BATCH"), Ok(v) if !v.is_empty() && v != "0")
-}
-
-/// Default for [`CampaignConfig::warmstart`]: enabled unless the
-/// `FADES_NO_WARMSTART` escape hatch is set to a non-empty value other
-/// than `0` (kept available for equivalence testing and debugging).
-///
-/// Read per call — not cached — so one process can construct configs on
-/// both paths (the differential test relies on this).
-pub fn warmstart_default() -> bool {
-    !matches!(std::env::var("FADES_NO_WARMSTART"), Ok(v) if !v.is_empty() && v != "0")
-}
-
-/// Default for [`CampaignConfig::static_preclassify`]: enabled unless the
-/// `FADES_NO_STATIC` escape hatch is set to a non-empty value other than
-/// `0` (kept available for the soundness differential suite, which proves
-/// skipped and executed campaigns bit-identical).
-///
-/// Read per call — not cached — so one process can construct configs on
-/// both paths (the differential test relies on this).
-pub fn static_default() -> bool {
-    !matches!(std::env::var("FADES_NO_STATIC"), Ok(v) if !v.is_empty() && v != "0")
 }
 
 /// Campaign worker-thread count: `FADES_THREADS` when set to a positive
@@ -447,19 +405,11 @@ impl<'n> Campaign<'n> {
             // than 64 bits): run everything scalar.
             return self.execute(plan, recorder);
         };
-        engine.set_sparse(self.config.sparse);
         if plan.is_empty() {
             return Ok(Vec::new());
         }
 
-        // Statically-Silent experiments go to the scalar side when the
-        // skip is enabled, so `execute_mode` stays the single place that
-        // replays them (a lane would simulate them for nothing).
-        let on_lane = |e: &PlannedExperiment| {
-            crate::batch::lane_expressible(&e.fault)
-                && !(self.config.static_preclassify
-                    && e.annotation == crate::plan::PlanAnnotation::StaticSilent)
-        };
+        let on_lane = |e: &PlannedExperiment| crate::batch::lane_expressible(&e.fault);
         let lane_entries: Vec<&PlannedExperiment> =
             plan.experiments.iter().filter(|e| on_lane(e)).collect();
         let scalar_plan = CampaignPlan {
@@ -486,7 +436,6 @@ impl<'n> Campaign<'n> {
             &self.ports,
             plan.sub_cycle,
             &lane_entries,
-            self.config.warmstart,
             self.config.threads,
         )?;
         if let Some(recorder) = recorder {
@@ -595,9 +544,7 @@ impl<'n> Campaign<'n> {
             });
         }
         // Annotate unconditionally — the plan must stay a pure function
-        // of its inputs, independent of whether execution later honours
-        // the annotations (`CampaignConfig::static_preclassify`), so
-        // shards built in processes with different settings still agree.
+        // of its inputs, so shards built in different processes agree.
         self.annotate_static(&mut experiments);
         Ok(CampaignPlan {
             target: load.target.to_string(),
@@ -669,6 +616,7 @@ impl<'n> Campaign<'n> {
             };
             if silent {
                 e.annotation = PlanAnnotation::StaticSilent;
+                fades_telemetry::analysis::STATIC_SILENT.inc();
             }
         }
     }
@@ -771,18 +719,11 @@ impl<'n> Campaign<'n> {
         let Some(mut engine) = fades_fpga::BatchDevice::new(&self.device) else {
             return self.execute_isolated(plan, retries, recorder, observer);
         };
-        engine.set_sparse(self.config.sparse);
         if plan.is_empty() {
             return Ok(Vec::new());
         }
 
-        // As in `execute_batched`: statically-Silent experiments take the
-        // scalar isolated path, where `execute_mode` replays their ledger.
-        let on_lane = |e: &PlannedExperiment| {
-            crate::batch::lane_expressible(&e.fault)
-                && !(self.config.static_preclassify
-                    && e.annotation == crate::plan::PlanAnnotation::StaticSilent)
-        };
+        let on_lane = |e: &PlannedExperiment| crate::batch::lane_expressible(&e.fault);
         let lane_entries: Vec<&PlannedExperiment> =
             plan.experiments.iter().filter(|e| on_lane(e)).collect();
         let scalar_plan = CampaignPlan {
@@ -830,7 +771,6 @@ impl<'n> Campaign<'n> {
                         plan.sub_cycle,
                         pending,
                         chaos,
-                        self.config.warmstart,
                         loaded,
                         &mut |index, result| {
                             let verdict = ExperimentVerdict::Completed {
@@ -911,10 +851,7 @@ impl<'n> Campaign<'n> {
                     // The word may hold a half-installed fault; rebuild
                     // the engine from the pristine device.
                     match fades_fpga::BatchDevice::new(&self.device) {
-                        Some(mut rebuilt) => {
-                            rebuilt.set_sparse(self.config.sparse);
-                            engine = rebuilt;
-                        }
+                        Some(rebuilt) => engine = rebuilt,
                         None => {
                             fallback.extend(pending.iter().map(|e| (*e).clone()));
                             pending.clear();
@@ -989,7 +926,6 @@ impl<'n> Campaign<'n> {
                 let sub_cycle = plan.sub_cycle;
                 let time_model = &self.time_model;
                 let fastpath = self.config.fastpath;
-                let static_skip = self.config.static_preclassify;
                 handles.push(scope.spawn(move |_| -> Result<(), CoreError> {
                     for (planned, out) in chunk_plan.iter().zip(chunk_out.iter_mut()) {
                         slot.store(planned.index, Ordering::Release);
@@ -1003,30 +939,11 @@ impl<'n> Campaign<'n> {
                                         c.maybe_panic(planned.index, attempt);
                                     }
                                     let mut rng = StdRng::seed_from_u64(planned.seed);
-                                    let strategy = strategy_for(&planned.fault, sub_cycle);
-                                    if static_skip
-                                        && planned.annotation
-                                            == crate::plan::PlanAnnotation::StaticSilent
-                                    {
-                                        // Plan-time proof says Silent:
-                                        // replay the reconfiguration
-                                        // ledger, skip the simulation.
-                                        let result = crate::experiment::replay_static_silent(
-                                            dev,
-                                            golden,
-                                            planned.fault.clone(),
-                                            strategy,
-                                            planned.schedule,
-                                            &mut rng,
-                                        )?;
-                                        fades_telemetry::analysis::STATIC_SILENT.inc();
-                                        return Ok(result);
-                                    }
                                     run_experiment(
                                         dev,
                                         golden,
                                         planned.fault.clone(),
-                                        strategy,
+                                        strategy_for(&planned.fault, sub_cycle),
                                         planned.schedule,
                                         ports,
                                         &mut rng,

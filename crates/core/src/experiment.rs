@@ -82,75 +82,6 @@ pub struct ExperimentResult {
     pub early_stop_cycles: u64,
 }
 
-/// Settles the books for an experiment the static pre-classifier proved
-/// Silent, without simulating a single workload cycle.
-///
-/// The strategy's reconfiguration choreography is replayed on the reset
-/// device — `inject` at the injection instant, `tick` for every active
-/// cycle, `remove` at expiry (or after the run for an outliving schedule)
-/// — exactly as [`run_experiment`] would have driven it. Every strategy
-/// charges the transfer ledger by frame *coordinates*, never by observed
-/// values, so the resulting [`LedgerSummary`] (and with it the modelled
-/// `emulation_seconds`) is bit-identical to a real execution; only host
-/// wall-clock is saved. The outcome is `Silent` by construction — the
-/// plan-time cone-of-influence proof is the whole point — and the
-/// soundness suite forces these experiments to execute for real and
-/// checks the claim against both engines.
-///
-/// # Errors
-///
-/// Returns [`CoreError::BadSchedule`] for an injection instant outside
-/// the run, or propagates strategy errors — the same failure surface as
-/// [`run_experiment`].
-pub(crate) fn replay_static_silent(
-    dev: &mut Device,
-    golden: &GoldenRun,
-    fault: ResolvedFault,
-    mut strategy: Box<dyn InjectionStrategy>,
-    schedule: FaultSchedule,
-    rng: &mut StdRng,
-) -> Result<ExperimentResult, CoreError> {
-    let started = std::time::Instant::now();
-    let strategy_name = strategy.name();
-    let run_cycles = golden.cycles();
-    if schedule.inject_at >= run_cycles {
-        return Err(CoreError::BadSchedule {
-            at: schedule.inject_at,
-            run_cycles,
-        });
-    }
-    dev.reset();
-    dev.clear_ledger();
-    for cycle in schedule.inject_at..run_cycles {
-        if cycle == schedule.inject_at {
-            strategy.inject(dev, rng)?;
-        } else if schedule.active(cycle) {
-            strategy.tick(dev, rng)?;
-        }
-        if schedule.expires_after(cycle) {
-            strategy.remove(dev)?;
-        }
-        if schedule.inert_at(cycle + 1) {
-            // From here the strategy makes no further calls in a real
-            // run; the remaining cycles contribute nothing to the ledger.
-            break;
-        }
-    }
-    if schedule.outlives(run_cycles) {
-        strategy.remove(dev)?;
-    }
-    Ok(ExperimentResult {
-        fault,
-        schedule,
-        outcome: Outcome::Silent,
-        traffic: LedgerSummary::from(dev.ledger()),
-        strategy: strategy_name,
-        wall_us: started.elapsed().as_micros() as u64,
-        skipped_cycles: 0,
-        early_stop_cycles: 0,
-    })
-}
-
 /// Runs one fault-injection experiment: reset, execute the workload,
 /// reconfigure to inject at the scheduled instant, reconfigure to remove
 /// at expiry, observe, classify (paper Fig. 1).

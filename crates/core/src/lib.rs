@@ -61,13 +61,11 @@ pub mod strategies;
 mod timing;
 
 pub use campaign::{
-    batch_default, fastpath_default, static_default, warmstart_default, worker_threads, Campaign,
-    CampaignConfig, CampaignStats,
+    batch_default, fastpath_default, worker_threads, Campaign, CampaignConfig, CampaignStats,
 };
 pub use classify::{classify, Outcome, OutcomeStats};
 pub use error::CoreError;
 pub use experiment::{run_experiment, ExperimentResult, FaultSchedule};
-pub use fades_fpga::sparse_default;
 pub use golden::{GoldenRun, DEFAULT_CHECKPOINT_INTERVAL};
 pub use location::{
     resolve_targets, sample_fault, DurationRange, FaultLoad, ResolvedFault, TargetClass, TargetSite,

@@ -25,10 +25,9 @@ pub enum PlanAnnotation {
     #[default]
     None,
     /// The fault lands in provably dead logic and heals before it could
-    /// matter: the outcome is Silent without running a single cycle. The
-    /// executors still charge the modelled reconfiguration traffic and
-    /// `emulation_seconds`, so campaign statistics stay bit-identical to
-    /// a run that executed the experiment.
+    /// matter: the analysis predicts a Silent outcome. Executors still run
+    /// the experiment; the annotation is a plan-time report, and the
+    /// soundness suite checks it against the executed outcome.
     StaticSilent,
 }
 

@@ -84,22 +84,6 @@ proptest! {
             cycles,
             CampaignConfig {
                 threads: 1, margin_cycles: 32, fastpath: true, batch: true,
-                warmstart: true, sparse: true, static_preclassify: false,
-            },
-        )
-        .expect("campaign");
-        // The lane engine with both tentpole shortcuts killed: the full
-        // settle sweep from cycle 0, every cohort. Pins the kill-switch
-        // combination the FADES_NO_WARMSTART / FADES_NO_SPARSE hatches
-        // select in production.
-        let hatched = Campaign::with_config(
-            &nl,
-            imp.clone(),
-            &["q"],
-            cycles,
-            CampaignConfig {
-                threads: 1, margin_cycles: 32, fastpath: true, batch: true,
-                warmstart: false, sparse: false, static_preclassify: false,
             },
         )
         .expect("campaign");
@@ -110,32 +94,20 @@ proptest! {
             cycles,
             CampaignConfig {
                 threads: 1, margin_cycles: 32, fastpath: false, batch: false,
-                warmstart: false, sparse: false, static_preclassify: false,
             },
         )
         .expect("campaign");
 
         let batched = fast.run_batched(&load, n, seed).expect("batched");
-        let batched_hatched = hatched.run_batched(&load, n, seed).expect("batched hatched");
         let scalar = fast.run(&load, n, seed).expect("scalar");
         let no_fastpath = slow.run(&load, n, seed).expect("no fastpath");
 
         prop_assert_eq!(&batched.outcomes, &scalar.outcomes, "batched vs scalar");
-        prop_assert_eq!(
-            &batched.outcomes,
-            &batched_hatched.outcomes,
-            "batched vs batched-with-hatches"
-        );
         prop_assert_eq!(&scalar.outcomes, &no_fastpath.outcomes, "scalar vs no-fastpath");
         prop_assert_eq!(
             batched.emulation_seconds.to_bits(),
             scalar.emulation_seconds.to_bits(),
             "batched vs scalar emulation_seconds"
-        );
-        prop_assert_eq!(
-            batched.emulation_seconds.to_bits(),
-            batched_hatched.emulation_seconds.to_bits(),
-            "batched vs batched-with-hatches emulation_seconds"
         );
         prop_assert_eq!(
             scalar.emulation_seconds.to_bits(),

@@ -69,9 +69,6 @@ fn lane_wall_attribution_shares_the_cohort_clock() {
             margin_cycles: 64,
             fastpath: true,
             batch: true,
-            warmstart: true,
-            sparse: true,
-            static_preclassify: false,
         },
     )
     .unwrap();

@@ -9,10 +9,10 @@
 //! LUTs, dead flip-flops, dangling wires, lane-engine obstacles,
 //! unused-site inventory) and, for each requested fault load, samples
 //! the campaign plan from `FADES_FAULTS` / `FADES_SEED` and reports how
-//! many experiments the cone-of-influence pre-classifier settles as
-//! statically Silent — the experiments `run`/`shard`/service jobs will
-//! skip without simulating, while still charging their exact modelled
-//! reconfiguration traffic.
+//! many experiments the cone-of-influence pre-classifier proves
+//! statically Silent — a plan-time outcome report; `run`/`shard`/service
+//! jobs still execute them, and the soundness suite checks the claim
+//! against their executed outcome.
 //!
 //! The exit status is the gate: `Error`-severity diagnostics (the same
 //! findings that make `fades-dispatch::run_shard` and service admission
@@ -194,15 +194,9 @@ fn print_text(
     println!("\nstatic pre-classification ({n} faults per load, seed {seed}):");
     for s in summaries {
         match &s.result {
-            Ok((silent, total)) => println!(
-                "  {:<12} {silent:>6} of {total} statically Silent{}",
-                s.load,
-                if *silent > 0 {
-                    " (skipped at run time, modelled time unchanged)"
-                } else {
-                    ""
-                }
-            ),
+            Ok((silent, total)) => {
+                println!("  {:<12} {silent:>6} of {total} statically Silent", s.load);
+            }
             Err(e) => println!("  {:<12} not plannable on this design: {e}", s.load),
         }
     }

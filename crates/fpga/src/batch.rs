@@ -34,36 +34,12 @@ use crate::frames::{CbField, FrameSet};
 use crate::ledger::{TransferKind, TransferLedger, TransferOp};
 use crate::reconfig::Mutation;
 use crate::state::DeviceState;
-use fades_telemetry::sim;
-
-/// Default sparse-settle decision for lane engines: the divergence-
-/// frontier scheduler is on unless the `FADES_NO_SPARSE` kill switch is
-/// set (to a non-empty value other than `0`). Both modes are
-/// bit-identical; the full sweep is the reference semantics.
-#[must_use]
-pub fn sparse_default() -> bool {
-    !matches!(std::env::var("FADES_NO_SPARSE"), Ok(v) if !v.is_empty() && v != "0")
-}
 
 /// Number of lanes in one batch word.
 pub const LANES: usize = 64;
 
 /// Lane-mask of the golden lane (lane 0, never faulted).
 pub const GOLDEN_LANE_MASK: u64 = 1;
-
-/// A sparse settle that touches more than `n_nodes / DENSE_FRONTIER_DIV`
-/// nodes bails out into the streaming full sweep and flips the engine
-/// into dense mode. The random-access dirty-cone eval costs roughly 5×
-/// a streamed eval per node (measured ≈24 ns vs ≈4.5 ns on the 8051
-/// SoC), so the sweep wins once the frontier passes ~20% of the design;
-/// 1/8 keeps a margin in sparse mode's favour before switching.
-const DENSE_FRONTIER_DIV: usize = 8;
-
-/// In dense mode the engine re-probes with a (bail-bounded) sparse
-/// settle every this many settles, so it returns to the dirty-cone
-/// schedule when the divergence frontier collapses — e.g. after lane
-/// retirements leave only golden activity on a quiet workload phase.
-const DENSE_RESAMPLE_PERIOD: u32 = 32;
 
 /// Broadcasts a boolean across all 64 lanes.
 #[inline(always)]
@@ -207,13 +183,11 @@ struct LaneBram {
     prev_din: Vec<u64>,
 }
 
-/// Evaluation descriptor of one combinational node, packed so the sparse
-/// settle's random-order evaluation reads a single 32-byte record per
-/// node. For a LUT node: `target` is the LUT index, `table_off` its
-/// slice start in `compact_tables`, `arity`/`pins` the connected pin
-/// count and wires, `cpristine` the compact pristine table (for the
-/// golden-uniform scalar path). For a BRAM node (`is_bram != 0`):
-/// `target` is the BRAM index and the rest is unused.
+/// Evaluation descriptor of one combinational node, packed so the
+/// settle streams one record per node. For a LUT node: `target` is the
+/// LUT index, `table_off` its slice start in `compact_tables`,
+/// `arity`/`pins` the connected pin count and wires. For a BRAM node
+/// (`is_bram != 0`): `target` is the BRAM index and the rest is unused.
 #[derive(Debug, Clone, Copy)]
 struct NodeDesc {
     target: u32,
@@ -221,7 +195,6 @@ struct NodeDesc {
     table_off: u32,
     arity: u8,
     is_bram: u8,
-    cpristine: u16,
     pins: [u32; 4],
 }
 
@@ -321,50 +294,10 @@ pub struct BatchDevice {
     brams: Vec<LaneBram>,
     ledgers: Vec<TransferLedger>,
 
-    // Sparse divergence-frontier scheduler (see `settle_sparse`). The
-    // invariant it maintains: between settles, `wire_values`/`lut_values`
-    // always equal the full-sweep fixpoint of the current sequential
-    // state, configuration and inputs — so a node outside the fan-out of
-    // a changed word cannot change output and need not be re-evaluated.
-    sparse: bool,
-    /// Forces the next settle to run the full sweep (set by `reset`,
-    /// whose zeroed wires are *not* a settled fixpoint).
-    all_dirty: bool,
-    /// True while every lane word is still a broadcast of the golden
-    /// lane and the configuration is pristine (no `lane()` handed out
-    /// since the last reset/restore): LUT evaluation collapses to one
-    /// scalar table lookup per node.
-    lanes_uniform: bool,
     /// Per-`eval_order`-position evaluation descriptor: everything the
-    /// hot path needs to evaluate a node, gathered into one 32-byte
-    /// record so a dirty-cone eval touches one metadata cache line
+    /// settle needs to evaluate a node, gathered into one packed record
     /// instead of five scattered arrays.
     node_descs: Vec<NodeDesc>,
-    /// Flip-flops whose state word changed since the last settle
-    /// (maintained by `clock_edge` and the direct `ff_state` writers);
-    /// the sparse settle presents exactly these instead of rescanning
-    /// every flip-flop. May contain duplicates; re-presenting is a no-op.
-    ff_changed: Vec<u32>,
-    /// Density feedback for the hybrid settle: true while the last
-    /// sparse probe exceeded [`DENSE_FRONTIER_DIV`] and the streaming
-    /// full sweep is the cheaper schedule; re-probed sparsely every
-    /// [`DENSE_RESAMPLE_PERIOD`] settles.
-    frontier_dense: bool,
-    /// Settles remaining until the next sparse re-probe in dense mode.
-    resample_in: u32,
-    node_of_lut: Vec<u32>,
-    node_of_bram: Vec<u32>,
-    /// CSR wire → consuming `eval_order` positions.
-    consumer_start: Vec<u32>,
-    consumers: Vec<u32>,
-    /// Dirty bitmap over `eval_order` positions, one bit per node. A
-    /// single ascending scan evaluates each dirty node at most once:
-    /// `eval_order` is topological, so a consumer marked during the scan
-    /// always sits at a strictly higher position than the node that
-    /// marked it. Ascending order also makes the walk sequential in
-    /// `node_descs`, which is what keeps the per-node cost near the full
-    /// sweep's streaming cost instead of random-access latency.
-    dirty_words: Vec<u64>,
 
     // Incremental retirement mask (see `seq_divergence`): the flip-flop
     // and capture-shadow components are folded during `clock_edge`, so
@@ -574,41 +507,8 @@ impl BatchDevice {
         let n_luts = luts.len();
         let n_ffs = ffs.len();
 
-        // Build the wire → consumers index the sparse settle walks.
-        // `eval_order` is already topological (producers strictly before
-        // consumers), which is what makes the ascending bitmap scan in
-        // `settle_sparse` evaluate each dirty node at most once.
-        let n_nodes = eval_order.len();
-        let mut node_of_lut = vec![u32::MAX; n_luts];
-        let mut node_of_bram = vec![u32::MAX; brams.len()];
-        let mut consumer_start = vec![0u32; n_wires + 1];
-        let node_inputs = |node: CombNode| -> Vec<u32> {
-            match node {
-                CombNode::Lut(li) => luts[li as usize].pins.iter().flatten().copied().collect(),
-                CombNode::Bram(bi) => brams[bi as usize].addr_wires.clone(),
-            }
-        };
-        for (pos, &node) in eval_order.iter().enumerate() {
-            match node {
-                CombNode::Lut(li) => node_of_lut[li as usize] = pos as u32,
-                CombNode::Bram(bi) => node_of_bram[bi as usize] = pos as u32,
-            }
-            for w in node_inputs(node) {
-                consumer_start[w as usize + 1] += 1;
-            }
-        }
-        for w in 0..n_wires {
-            consumer_start[w + 1] += consumer_start[w];
-        }
-        let mut fill: Vec<u32> = consumer_start[..n_wires].to_vec();
-        let mut consumers = vec![0u32; consumer_start[n_wires] as usize];
-        for (pos, &node) in eval_order.iter().enumerate() {
-            for w in node_inputs(node) {
-                consumers[fill[w as usize] as usize] = pos as u32;
-                fill[w as usize] += 1;
-            }
-        }
-
+        // `eval_order` is topological (producers strictly before
+        // consumers), so one streaming pass over it settles the fabric.
         let node_descs: Vec<NodeDesc> = eval_order
             .iter()
             .map(|&node| match node {
@@ -620,7 +520,6 @@ impl BatchDevice {
                         table_off: lut_coff[l],
                         arity: lut_arity[l],
                         is_bram: 0,
-                        cpristine: lut_cpristine[l],
                         pins: lut_cpins[l],
                     }
                 }
@@ -630,7 +529,6 @@ impl BatchDevice {
                     table_off: 0,
                     arity: 0,
                     is_bram: 1,
-                    cpristine: 0,
                     pins: [0; 4],
                 },
             })
@@ -667,18 +565,7 @@ impl BatchDevice {
             ff_prev_d: vec![0; n_ffs],
             brams,
             ledgers: vec![TransferLedger::new(); LANES],
-            sparse: sparse_default(),
-            all_dirty: true,
-            lanes_uniform: false,
             node_descs,
-            ff_changed: Vec::new(),
-            frontier_dense: false,
-            resample_in: 0,
-            node_of_lut,
-            node_of_bram,
-            consumer_start,
-            consumers,
-            dirty_words: vec![0u64; n_nodes.div_ceil(64)],
             seq_div_ff: 0,
             seq_div_shadow: 0,
             ff_touched_since_edge: false,
@@ -742,29 +629,9 @@ impl BatchDevice {
             l.clear();
         }
         self.cycle = 0;
-        // Zeroed wires are not a settled fixpoint, so the next settle
-        // must be a full sweep; after it the sparse invariant holds.
-        self.all_dirty = true;
-        self.lanes_uniform = true;
-        self.clear_dirty_queues();
-        self.ff_changed.clear();
         self.seq_div_ff = 0;
         self.seq_div_shadow = 0;
         self.ff_touched_since_edge = false;
-    }
-
-    /// Enables or disables the sparse divergence-frontier settle. Both
-    /// modes are bit-identical (the full sweep is the reference
-    /// semantics); the switch exists so campaigns can honour the
-    /// `FADES_NO_SPARSE` kill switch without re-reading the environment
-    /// per engine.
-    pub fn set_sparse(&mut self, on: bool) {
-        if on && !self.sparse {
-            // Dirty marks were not maintained while the scheduler was
-            // off; resync with one full sweep.
-            self.all_dirty = true;
-        }
-        self.sparse = on;
     }
 
     /// Splat-loads every lane from one scalar golden-run snapshot:
@@ -781,10 +648,8 @@ impl BatchDevice {
     ///
     /// Checkpoints are captured post-edge, pre-settle: the snapshot's
     /// wire and LUT values are the fixpoint of the *previous* cycle's
-    /// presentation, stale against its `ff_state` and memory contents.
-    /// The restore therefore forces one full sweep at the next settle
-    /// (`all_dirty`), exactly like `reset`, before the sparse scheduler
-    /// takes over.
+    /// presentation, stale against its `ff_state` and memory contents,
+    /// until the next [`settle`](Self::settle) recomputes them.
     pub fn restore_broadcast(&mut self, snap: &DeviceState) {
         self.rebuild_pristine_tables();
         for i in 0..self.ffs.len() {
@@ -824,10 +689,6 @@ impl BatchDevice {
             l.clear();
         }
         self.cycle = snap.cycle;
-        self.all_dirty = true;
-        self.lanes_uniform = true;
-        self.clear_dirty_queues();
-        self.ff_changed.clear();
         self.seq_div_ff = 0;
         self.seq_div_shadow = 0;
         self.ff_touched_since_edge = false;
@@ -852,13 +713,8 @@ impl BatchDevice {
                 actual: bits.len(),
             });
         }
-        for (w, &v) in port.wires.clone().iter().zip(bits) {
-            let word = splat(v);
-            let wi = w.index();
-            if self.wire_values[wi] != word {
-                self.wire_values[wi] = word;
-                self.mark_wire_consumers(wi);
-            }
+        for (w, &v) in port.wires.iter().zip(bits) {
+            self.wire_values[w.index()] = splat(v);
         }
         Ok(())
     }
@@ -906,50 +762,8 @@ impl BatchDevice {
     }
 
     /// Propagates values through the combinational fabric, all lanes at
-    /// once.
-    ///
-    /// With the sparse scheduler enabled (the default) this is a hybrid:
-    /// a sparse settle re-evaluates only the fan-out cone of words that
-    /// changed since the previous settle — bit-identical to the full
-    /// sweep, because a node outside the changed fan-out sees identical
-    /// inputs and an identical function, so its output cannot change.
-    /// When the frontier turns out dense (above `1/DENSE_FRONTIER_DIV`
-    /// of the design) the sparse scan bails out into the streaming full
-    /// sweep, whose sequential evals are ~5× cheaper per node than the
-    /// dirty-cone's random accesses; the engine then stays on full
-    /// sweeps, re-probing sparsely every `DENSE_RESAMPLE_PERIOD`
-    /// settles. The bail-out is sound because one full topological
-    /// sweep computes the fixpoint from any intermediate wire state,
-    /// after which all accumulated dirty marks and seeds are moot.
+    /// once: evaluates every combinational node in topological order.
     pub fn settle(&mut self) {
-        if !self.sparse {
-            self.settle_full();
-            self.ff_changed.clear();
-        } else if self.all_dirty {
-            self.settle_full();
-            self.clear_dirty_queues();
-            self.ff_changed.clear();
-            self.all_dirty = false;
-        } else if self.frontier_dense && self.resample_in != 0 {
-            self.resample_in -= 1;
-            self.settle_full();
-            self.clear_dirty_queues();
-            self.ff_changed.clear();
-        } else if self.settle_sparse() {
-            self.frontier_dense = false;
-        } else {
-            // The probe crossed the density threshold: finish with the
-            // streaming sweep and stay dense for a while.
-            self.settle_full();
-            self.clear_dirty_queues();
-            self.frontier_dense = true;
-            self.resample_in = DENSE_RESAMPLE_PERIOD;
-        }
-    }
-
-    /// Reference semantics: evaluates every combinational node in
-    /// topological order.
-    fn settle_full(&mut self) {
         for (i, ff) in self.ffs.iter().enumerate() {
             if let Some(w) = ff.out_wire {
                 self.wire_values[w as usize] = self.ff_state[i];
@@ -1002,149 +816,6 @@ impl BatchDevice {
         }
     }
 
-    /// Dirty-cone settle: seeds from the flip-flops recorded on
-    /// `ff_changed` (every `ff_state` writer — the clock edge, set/reset
-    /// pulses, re-randomisation, lane snapping — appends the indices it
-    /// changed) plus the nodes marked dirty by configuration/memory
-    /// mutations since the previous settle, then scans the dirty bitmap
-    /// in ascending node-position order. Topological `eval_order` makes
-    /// the single scan sufficient: every consumer a dirty node marks
-    /// lies strictly ahead of it, either at a higher bit of the current
-    /// word (caught by the re-check before advancing) or in a later
-    /// word.
-    ///
-    /// Returns `false` — leaving the remaining dirty bits set and the
-    /// wires updated so far in a valid intermediate state — when the
-    /// frontier crosses the density threshold; the caller must then run
-    /// the full sweep (which reaches the same fixpoint from any
-    /// intermediate state) and clear the dirty bitmap.
-    fn settle_sparse(&mut self) -> bool {
-        let limit = (self.node_descs.len() / DENSE_FRONTIER_DIV) as u64;
-        let n_changed = self.ff_changed.len();
-        for n in 0..n_changed {
-            let i = self.ff_changed[n] as usize;
-            if let Some(w) = self.ffs[i].out_wire {
-                let v = self.ff_state[i];
-                let wi = w as usize;
-                if self.wire_values[wi] != v {
-                    self.wire_values[wi] = v;
-                    self.mark_wire_consumers(wi);
-                }
-            }
-        }
-        self.ff_changed.clear();
-        let uniform_mode = self.lanes_uniform;
-        let mut evaluated = 0u64;
-        let mut wi = 0usize;
-        while wi < self.dirty_words.len() {
-            // Clear one bit at a time: an eval that marks a consumer in
-            // this same word either targets a still-pending bit (the OR
-            // is idempotent — no duplicate eval) or a strictly higher,
-            // already-cleared one (re-seen by this inner loop).
-            let base = wi << 6;
-            loop {
-                let w = self.dirty_words[wi];
-                if w == 0 {
-                    break;
-                }
-                if evaluated >= limit {
-                    return false;
-                }
-                let b = w.trailing_zeros() as usize;
-                self.dirty_words[wi] = w & (w - 1);
-                self.eval_node(base + b, uniform_mode);
-                evaluated += 1;
-            }
-            wi += 1;
-        }
-        sim::record_sparse_settle(self.node_descs.len() as u64 - evaluated, uniform_mode);
-        true
-    }
-
-    /// Re-evaluates one combinational node, propagating output changes
-    /// into the dirty bitmap.
-    fn eval_node(&mut self, pos: usize, uniform_mode: bool) {
-        let d = self.node_descs[pos];
-        if d.is_bram == 0 {
-            let v = if uniform_mode {
-                // Golden-uniform fast path: every lane word is still a
-                // broadcast and the configuration is pristine, so one
-                // scalar table lookup replaces the mux tree.
-                let mut idx = 0usize;
-                for k in 0..d.arity as usize {
-                    idx |= ((self.wire_values[d.pins[k] as usize] & 1) as usize) << k;
-                }
-                splat((d.cpristine >> idx) & 1 == 1)
-            } else {
-                self.eval_lut_lanes(&d)
-            };
-            self.lut_values[d.target as usize] = v;
-            if d.out_wire != u32::MAX {
-                let wi = d.out_wire as usize;
-                if self.wire_values[wi] != v {
-                    self.wire_values[wi] = v;
-                    self.mark_wire_consumers(wi);
-                }
-            }
-        } else {
-            {
-                let bi = d.target as usize;
-                let mut changed = [0u32; 64];
-                let mut n_changed = 0usize;
-                {
-                    let b = &self.brams[bi];
-                    let all_uniform = b
-                        .addr_wires
-                        .iter()
-                        .all(|&w| uniform(self.wire_values[w as usize]));
-                    if all_uniform {
-                        let mut addr = 0usize;
-                        for (k, &w) in b.addr_wires.iter().enumerate() {
-                            addr |= ((self.wire_values[w as usize] & 1) as usize) << k;
-                        }
-                        let base = addr * b.width;
-                        for (bit, dw) in b.dout_wires.iter().enumerate() {
-                            if let Some(w) = dw {
-                                let v = b.contents[base + bit];
-                                let wi = *w as usize;
-                                if self.wire_values[wi] != v {
-                                    self.wire_values[wi] = v;
-                                    changed[n_changed] = wi as u32;
-                                    n_changed += 1;
-                                }
-                            }
-                        }
-                    } else {
-                        let mut addrs = [0usize; LANES];
-                        for (k, &w) in b.addr_wires.iter().enumerate() {
-                            let word = self.wire_values[w as usize];
-                            for (lane, a) in addrs.iter_mut().enumerate() {
-                                *a |= (((word >> lane) & 1) as usize) << k;
-                            }
-                        }
-                        for (bit, dw) in b.dout_wires.iter().enumerate() {
-                            if let Some(w) = dw {
-                                let mut out = 0u64;
-                                for (lane, &a) in addrs.iter().enumerate() {
-                                    out |= ((b.contents[a * b.width + bit] >> lane) & 1) << lane;
-                                }
-                                let wi = *w as usize;
-                                if self.wire_values[wi] != out {
-                                    self.wire_values[wi] = out;
-                                    changed[n_changed] = wi as u32;
-                                    n_changed += 1;
-                                }
-                            }
-                        }
-                    }
-                }
-                for &w in &changed[..n_changed] {
-                    self.mark_wire_consumers(w as usize);
-                }
-            }
-        }
-    }
-
     /// Evaluates one LUT over all lanes with a mux tree sized to its
     /// connected-pin count. Bit-identical to the full 4-variable tree:
     /// unconnected pins present constant-0 words, so the full tree only
@@ -1181,48 +852,6 @@ impl BatchDevice {
         }
     }
 
-    /// Marks every consumer of a wire dirty (enqueues it on its level's
-    /// worklist). No-op while the sparse scheduler is off.
-    #[inline]
-    fn mark_wire_consumers(&mut self, w: usize) {
-        if !self.sparse {
-            return;
-        }
-        let start = self.consumer_start[w] as usize;
-        let end = self.consumer_start[w + 1] as usize;
-        for k in start..end {
-            self.mark_node(self.consumers[k]);
-        }
-    }
-
-    /// Marks one `eval_order` position dirty. `u32::MAX` (no node) is
-    /// ignored, as is everything while the sparse scheduler is off.
-    #[inline]
-    fn mark_node(&mut self, pos: u32) {
-        if !self.sparse || pos == u32::MAX {
-            return;
-        }
-        let p = pos as usize;
-        self.dirty_words[p >> 6] |= 1u64 << (p & 63);
-    }
-
-    /// Writes one flip-flop's state word, recording it on the sparse
-    /// seed list when the value actually changed.
-    #[inline]
-    fn write_ff_state(&mut self, fi: usize, new: u64) {
-        if self.ff_state[fi] != new {
-            self.ff_state[fi] = new;
-            if self.sparse {
-                self.ff_changed.push(fi as u32);
-            }
-        }
-    }
-
-    /// Clears the dirty bitmap (after a full sweep made the marks moot).
-    fn clear_dirty_queues(&mut self) {
-        self.dirty_words.fill(0);
-    }
-
     /// Applies the clock edge on every lane: flip-flop captures (with the
     /// same deterministic setup-violation model as the scalar device) and
     /// lane-masked memory writes.
@@ -1246,9 +875,6 @@ impl BatchDevice {
             } else {
                 d
             };
-            if captured != self.ff_state[i] && self.sparse {
-                self.ff_changed.push(i as u32);
-            }
             self.ff_state[i] = captured;
             self.ff_prev_d[i] = d;
             div_ff |= captured ^ splat_lane0(captured);
@@ -1257,7 +883,6 @@ impl BatchDevice {
         for bi in 0..self.brams.len() {
             let overshoot = self.bram_overshoot_ns.get(bi).copied().unwrap_or(0.0);
             let miss = capture_misses(&self.arch, self.cycle, overshoot, 0x8000_0000 | bi as u64);
-            let mut wrote = false;
             let b = &mut self.brams[bi];
             let Some(we) = b.we else { continue };
             let we_now = self.wire_values[we as usize];
@@ -1301,7 +926,6 @@ impl BatchDevice {
                         let idx = base + bit;
                         if b.contents[idx] != w {
                             b.contents[idx] = w;
-                            wrote = true;
                             if !uniform(w) {
                                 b.mark_dirty(idx);
                             }
@@ -1324,7 +948,6 @@ impl BatchDevice {
                             let new = (b.contents[idx] & !m) | v;
                             if new != b.contents[idx] {
                                 b.contents[idx] = new;
-                                wrote = true;
                                 if !uniform(new) {
                                     b.mark_dirty(idx);
                                 }
@@ -1342,11 +965,6 @@ impl BatchDevice {
             }
             for &w in &din_now[..ndin] {
                 div_shadow |= w ^ splat_lane0(w);
-            }
-            if wrote {
-                // A content change can move the read ports' next output;
-                // re-evaluate this memory node at the next settle.
-                self.mark_node(self.node_of_bram[bi]);
             }
         }
         self.seq_div_ff = div_ff;
@@ -1504,15 +1122,11 @@ impl BatchDevice {
     /// emulation time are fixed. Snapping the lane onto the golden
     /// trajectory therefore keeps results bit-identical while letting
     /// the ordinary reconvergence retirement fire immediately, which
-    /// collapses the divergence frontier the sparse settle walks (a
-    /// hard-diverged machine would otherwise keep half the netlist
-    /// non-uniform until the end of the pass).
+    /// frees the lane for a refill instead of carrying a hard-diverged
+    /// machine to the end of the pass.
     ///
-    /// Only sequential state is touched. Combinational words re-settle
-    /// through the usual dirty-cone machinery: every wire whose lane
-    /// bit differs from golden lies in the fan-out of a snapped word,
-    /// because the configuration is pristine and primary inputs are
-    /// lane-invariant.
+    /// Only sequential state is touched; the next
+    /// [`settle`](Self::settle) recomputes the combinational words.
     ///
     /// # Panics
     ///
@@ -1522,39 +1136,20 @@ impl BatchDevice {
         let m = 1u64 << lane;
         let keep = !m;
         let snap = |w: u64| (w & keep) | ((w & 1) << lane);
-        for i in 0..self.ff_state.len() {
-            self.write_ff_state(i, snap(self.ff_state[i]));
-        }
-        for w in self.ff_prev_d.iter_mut() {
+        for w in self.ff_state.iter_mut().chain(self.ff_prev_d.iter_mut()) {
             *w = snap(*w);
         }
-        for bi in 0..self.brams.len() {
-            let mut touched = false;
-            {
-                let b = &mut self.brams[bi];
-                b.prev_we = snap(b.prev_we);
-                for w in b.prev_addr.iter_mut() {
-                    *w = snap(*w);
-                }
-                for w in b.prev_din.iter_mut() {
-                    *w = snap(*w);
-                }
-                // Every content word diverging in this lane is on the
-                // dirty list (the list's invariant), so the sweep below
-                // reaches all of them.
-                for k in 0..b.dirty.len() {
-                    let idx = b.dirty[k] as usize;
-                    let w = b.contents[idx];
-                    let s = snap(w);
-                    if s != w {
-                        b.contents[idx] = s;
-                        touched = true;
-                    }
-                }
+        for b in self.brams.iter_mut() {
+            b.prev_we = snap(b.prev_we);
+            for w in b.prev_addr.iter_mut().chain(b.prev_din.iter_mut()) {
+                *w = snap(*w);
             }
-            if touched {
-                // Changed contents can move the read ports' next output.
-                self.mark_node(self.node_of_bram[bi]);
+            // Every content word diverging in this lane is on the dirty
+            // list (the list's invariant), so the sweep reaches all of
+            // them.
+            for &idx in &b.dirty {
+                let idx = idx as usize;
+                b.contents[idx] = snap(b.contents[idx]);
             }
         }
         // The cached retirement folds are per-lane ORs, so clearing the
@@ -1599,12 +1194,14 @@ impl BatchDevice {
     /// Panics if `lane` is 0 or ≥ 64.
     pub fn lane(&mut self, lane: usize) -> LaneDevice<'_> {
         assert!((1..LANES).contains(&lane), "lane {lane} out of range");
-        // Handing out a lane facade is the one gateway to per-lane
-        // mutation, so it conservatively ends the golden-uniform
-        // fast-path window (staying on the general path is always
-        // bit-identical).
-        self.lanes_uniform = false;
         LaneDevice { dev: self, lane }
+    }
+
+    /// Loads flip-flop `fi`'s set/reset drive into its state on the lanes
+    /// of `mask` (a local set/reset pulse between clock edges).
+    fn pulse_lsr(&mut self, fi: usize, mask: u64) {
+        self.ff_state[fi] = (self.ff_state[fi] & !mask) | (self.lsr_drive[fi] & mask);
+        self.ff_touched_since_edge = true;
     }
 
     fn set_lane_table(&mut self, li: usize, lane: usize, table: u16) {
@@ -1626,9 +1223,6 @@ impl BatchDevice {
                 *w &= !m;
             }
         }
-        // A rewritten table can change the node's output with unchanged
-        // inputs; re-evaluate it at the next settle.
-        self.mark_node(self.node_of_lut[li]);
         let was = self.lut_table_diff[li] & m != 0;
         let now = table != self.pristine_tables[li];
         if was != now {
@@ -1741,14 +1335,11 @@ impl LaneDevice<'_> {
             }
             Mutation::PulseLsr { cb } => {
                 let fi = self.ff_node(*cb)?;
-                let new = (self.dev.ff_state[fi] & !m) | (self.dev.lsr_drive[fi] & m);
-                self.dev.write_ff_state(fi, new);
-                self.dev.ff_touched_since_edge = true;
+                self.dev.pulse_lsr(fi, m);
             }
             Mutation::PulseGsr => {
                 for fi in 0..self.dev.ffs.len() {
-                    let new = (self.dev.ff_state[fi] & !m) | (self.dev.lsr_drive[fi] & m);
-                    self.dev.write_ff_state(fi, new);
+                    self.dev.pulse_lsr(fi, m);
                 }
                 self.dev.ff_touched_since_edge = true;
                 self.record(TransferOp {
@@ -1784,8 +1375,6 @@ impl LaneDevice<'_> {
                     if !uniform(new) {
                         b.mark_dirty(idx);
                     }
-                    let node = self.dev.node_of_bram[bram.index()];
-                    self.dev.mark_node(node);
                 }
             }
             Mutation::SetWireFanout { .. } | Mutation::SetWireDetour { .. } => {
@@ -1798,9 +1387,7 @@ impl LaneDevice<'_> {
                 } else {
                     self.dev.lsr_drive[fi] &= !m;
                 }
-                let new = (self.dev.ff_state[fi] & !m) | (self.dev.lsr_drive[fi] & m);
-                self.dev.write_ff_state(fi, new);
-                self.dev.ff_touched_since_edge = true;
+                self.dev.pulse_lsr(fi, m);
             }
         }
         if full_download {
@@ -1922,10 +1509,7 @@ impl ConfigAccess for LaneDevice<'_> {
 
     fn hold_lsr(&mut self, cb: CbCoord) -> Result<(), FpgaError> {
         let fi = self.ff_node(cb)?;
-        let m = self.mask();
-        let new = (self.dev.ff_state[fi] & !m) | (self.dev.lsr_drive[fi] & m);
-        self.dev.write_ff_state(fi, new);
-        self.dev.ff_touched_since_edge = true;
+        self.dev.pulse_lsr(fi, self.mask());
         Ok(())
     }
 }

@@ -112,48 +112,6 @@ impl LutCell {
         }
         (self.table >> idx) & 1 == 1
     }
-
-    /// Evaluates the truth table on four lane words at once: bit `l` of the
-    /// result is `eval` applied to bit `l` of each input word. See
-    /// [`eval_table_word`].
-    pub fn eval_word(&self, values: [u64; 4]) -> u64 {
-        eval_table_word(self.table, values[0], values[1], values[2], values[3])
-    }
-}
-
-/// Broadcasts truth-table bit 0 of `bit` across all 64 lanes
-/// (`0 → 0x0000…`, `1 → 0xFFFF…`).
-#[inline(always)]
-fn table_bit(bit: u16) -> u64 {
-    0u64.wrapping_sub((bit & 1) as u64)
-}
-
-/// Evaluates a 16-bit LSB-first truth table on four 64-lane input words.
-///
-/// This is the bit-parallel (SIMD-within-a-register) form of
-/// [`LutCell::eval`]: bit `l` of the returned word is the table output for
-/// input combination `(d, c, b, a)` taken from bit `l` of each input word.
-/// The table is expanded into a branch-free mux (Shannon) tree — eight
-/// two-way muxes selected by `a`, four by `b`, two by `c`, one by `d` — so
-/// one call evaluates the LUT for 64 independent experiments.
-#[inline]
-pub fn eval_table_word(table: u16, a: u64, b: u64, c: u64, d: u64) -> u64 {
-    // Level 1: collapse the `a` axis — 8 muxes over adjacent table bits.
-    let mut m = [0u64; 8];
-    for (j, slot) in m.iter_mut().enumerate() {
-        let lo = table_bit(table >> (2 * j));
-        let hi = table_bit(table >> (2 * j + 1));
-        *slot = (lo & !a) | (hi & a);
-    }
-    // Level 2: collapse `b`.
-    let n0 = (m[0] & !b) | (m[1] & b);
-    let n1 = (m[2] & !b) | (m[3] & b);
-    let n2 = (m[4] & !b) | (m[5] & b);
-    let n3 = (m[6] & !b) | (m[7] & b);
-    // Level 3: collapse `c`; level 4: collapse `d`.
-    let p0 = (n0 & !c) | (n1 & c);
-    let p1 = (n2 & !c) | (n3 & c);
-    (p0 & !d) | (p1 & d)
 }
 
 /// A D-type flip-flop, clocked by the single implicit global clock.
@@ -255,46 +213,6 @@ impl Cell {
             Cell::Lut(_) => "LUT",
             Cell::Dff(_) => "DFF",
             Cell::Ram(_) => "RAM",
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn eval_table_word_matches_scalar_eval_for_every_index() {
-        // A spread of table shapes: and4, or4, xor4, mux-ish, constants.
-        for table in [0x8000u16, 0xFFFE, 0x6996, 0xCACA, 0x0000, 0xFFFF, 0x1234] {
-            let lut = LutCell {
-                inputs: [None; 4],
-                table,
-                output: NetId::from_index(0),
-            };
-            // Drive each lane with a different input combination: lane l
-            // gets combination (l % 16), so one word call covers the whole
-            // truth table four times over.
-            let mut w = [0u64; 4];
-            for lane in 0..64u64 {
-                for (pin, word) in w.iter_mut().enumerate() {
-                    *word |= ((lane >> pin) & 1) << lane;
-                }
-            }
-            let out = eval_table_word(table, w[0], w[1], w[2], w[3]);
-            for lane in 0..64u64 {
-                let vals = [
-                    (lane & 1) != 0,
-                    (lane >> 1) & 1 != 0,
-                    (lane >> 2) & 1 != 0,
-                    (lane >> 3) & 1 != 0,
-                ];
-                assert_eq!(
-                    (out >> lane) & 1 == 1,
-                    lut.eval(vals),
-                    "table {table:#06x} lane {lane}"
-                );
-            }
         }
     }
 }

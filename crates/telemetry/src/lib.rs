@@ -149,25 +149,17 @@ pub mod sim {
         LANE_RETIREMENTS.inc();
     }
 
-    /// Combinational node evaluations the sparse divergence-frontier
-    /// settle skipped (nodes outside the changed fan-out).
+    /// Combinational node evaluations skipped by a sparse settle. The
+    /// lane engine always runs the full streaming settle, so this reads
+    /// 0; it stays declared so metric names and readers keep working.
     pub static EVALS_SKIPPED: Counter = Counter::new();
     /// Golden-prefix cycles cohort passes skipped by restoring a
     /// checkpoint instead of replaying from cycle 0.
     pub static WARM_SKIPPED_CYCLES: Counter = Counter::new();
-    /// Sparse settles that ran entirely in the golden-uniform scalar
-    /// fast path (no lane had touched configuration or state yet).
+    /// Settles run in a golden-uniform scalar fast path. The lane engine
+    /// has no such path, so this reads 0; it stays declared so metric
+    /// names and readers keep working.
     pub static UNIFORM_CYCLES: Counter = Counter::new();
-
-    /// Records one sparse settle that skipped `skipped` of the netlist's
-    /// combinational nodes. Always live — one add per batch *settle*.
-    #[inline(always)]
-    pub fn record_sparse_settle(skipped: u64, uniform: bool) {
-        EVALS_SKIPPED.add(skipped);
-        if uniform {
-            UNIFORM_CYCLES.inc();
-        }
-    }
 
     /// Records one cohort pass warm-started past `cycles` golden-prefix
     /// cycles. Always live — one add per cohort *pass*.
@@ -269,8 +261,9 @@ pub mod dispatch {
 pub mod analysis {
     use super::Counter;
 
-    /// Experiments classified Silent at plan time and skipped at
-    /// execution (their modelled cost is still charged).
+    /// Experiments the plan-time cone-of-influence analysis annotated
+    /// as statically Silent (counted when the plan is built; executors
+    /// still run them).
     pub static STATIC_SILENT: Counter = Counter::new();
     /// Diagnostics emitted by reporting lint passes.
     pub static LINT_DIAGNOSTICS: Counter = Counter::new();

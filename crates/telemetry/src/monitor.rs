@@ -117,7 +117,7 @@ pub struct StatusSnapshot {
     /// `skipped / (skipped + executed)`, best-effort (executed cycles
     /// only count while hot-path telemetry is enabled).
     pub fastpath_skip_ratio: f64,
-    /// Experiments the static pre-classifier settled without simulation.
+    /// Experiments the plan-time analysis annotated statically Silent.
     pub static_silent: u64,
     /// Structural lint diagnostics emitted by reporting lint passes.
     pub lint_diagnostics: u64,

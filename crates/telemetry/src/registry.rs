@@ -62,7 +62,11 @@ pub fn atomic_write(path: &std::path::Path, contents: &str) -> std::io::Result<(
         .parent()
         .filter(|p| !p.as_os_str().is_empty())
         .unwrap_or(std::path::Path::new("."));
-    let tmp = dir.join(format!(".{file_name}.tmp.{}", std::process::id()));
+    // Unique per call, not just per process: concurrent writers of one
+    // path in one process must not share (and steal) a temp file.
+    static SEQ: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
+    let seq = SEQ.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+    let tmp = dir.join(format!(".{file_name}.tmp.{}.{seq}", std::process::id()));
     std::fs::write(&tmp, contents)?;
     std::fs::rename(&tmp, path).inspect_err(|_| {
         let _ = std::fs::remove_file(&tmp);
@@ -160,6 +164,41 @@ mod tests {
             .collect();
         assert!(leftovers.is_empty(), "temp files cleaned up: {leftovers:?}");
         assert!(!std::path::Path::new(&format!(".out.json.tmp.{}", std::process::id())).exists());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn concurrent_atomic_writes_to_one_path_all_succeed() {
+        // Two threads of one process writing the same file (e.g. two
+        // simultaneous cancel requests writing one job marker) must not
+        // share a temp name, or the loser's rename fails with ENOENT.
+        let dir = std::env::temp_dir().join(format!("fades-aw-race-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let dest = dir.join("marker");
+        let payloads: Vec<String> = (0..8).map(|t| format!("writer {t}\n")).collect();
+        let start = std::sync::Barrier::new(payloads.len());
+        std::thread::scope(|scope| {
+            for payload in &payloads {
+                let (dest, start) = (&dest, &start);
+                scope.spawn(move || {
+                    start.wait();
+                    for _ in 0..50 {
+                        atomic_write(dest, payload).expect("concurrent atomic write");
+                    }
+                });
+            }
+        });
+        let landed = std::fs::read_to_string(&dest).unwrap();
+        assert!(
+            payloads.contains(&landed),
+            "torn or foreign content: {landed:?}"
+        );
+        let leftovers: Vec<_> = std::fs::read_dir(&dir)
+            .unwrap()
+            .filter_map(std::result::Result::ok)
+            .filter(|e| e.file_name().to_string_lossy().contains(".tmp."))
+            .collect();
+        assert!(leftovers.is_empty(), "temp files cleaned up: {leftovers:?}");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -38,6 +38,12 @@ echo "== lane-engine differential suite (release)"
 cargo test -q --release --offline -p fades-core --test batch_equiv
 cargo test -q --release --offline -p fades-core --test batch_props
 
+# The benchmark harness is its own Cargo workspace, so `cargo test
+# --workspace` never compiles it; build and test it against the current
+# crate APIs it reads.
+echo "== perfbench tests (release)"
+cargo test -q --offline --release --manifest-path perfbench/Cargo.toml
+
 echo "== settle/batch throughput microbenches (release)"
 cargo bench -q --offline -p fades-bench --bench microbench -- settle_throughput 2>&1 | tail -n +1
 cargo bench -q --offline -p fades-bench --bench microbench -- batch_throughput 2>&1 | tail -n +1
@@ -155,10 +161,10 @@ if ratio > 1.15:
     raise SystemExit("FAIL: disabled-path telemetry cost regressed beyond 15% of enabled")
 EOF
 
-# The lane engine's reason to exist is host wall-clock: with the sparse
-# divergence-frontier settle and golden-checkpoint warm-start on top of
-# 63-wide lanes, the batched 64-fault campaign must beat the scalar one
-# by at least 4x, or the gate fails.
+# The lane engine's reason to exist is host wall-clock: with
+# golden-checkpoint warm-start on top of 63-wide lanes, the batched
+# 64-fault campaign must beat the scalar one by at least 4x, or the gate
+# fails.
 echo "== batched campaign must outrun the scalar campaign by >= 4x"
 FADES_FAULTS=64 cargo run -q --release --offline -p fades-experiments -- batch
 python3 - <<'EOF'
@@ -176,10 +182,9 @@ EOF
 
 # Static-analysis gate. Three promises: the 8051 design lints clean
 # enough to campaign (no error-severity diagnostics, any load), the
-# statically-Silent soundness/bit-identity suite holds under release
-# optimisation, and the pre-classifier actually finds the dead logic in
-# the demo-dead fixture — a zero count there would mean the cone
-# analysis went blind while the skip machinery still trusts it.
+# statically-Silent soundness suite holds under release optimisation,
+# and the pre-classifier actually finds the dead logic in the demo-dead
+# fixture — a zero count there would mean the cone analysis went blind.
 echo "== static analysis gate (release)"
 run_exp analyze all
 cargo test -q --release --offline -p fades-core --test static_analysis
