@@ -12,6 +12,10 @@ use crate::error::CoreError;
 /// `K / 2` cycles; 64 keeps the residual negligible against the
 /// 1000-cycle-class workloads of the paper while storing only a few
 /// dozen snapshots.
+///
+/// The VFIT baseline (`fades-vfit`) checkpoints its netlist golden run at
+/// the same interval. In both tools the checkpoints shorten host wall time
+/// only; modelled emulation and simulation time still cover the full run.
 pub const DEFAULT_CHECKPOINT_INTERVAL: u64 = 64;
 
 /// A fault-free reference execution of the configured design.

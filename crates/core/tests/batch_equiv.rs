@@ -16,6 +16,23 @@ use fades_core::{Campaign, CampaignConfig, DurationRange, FaultLoad, PermanentFa
 use fades_netlist::UnitTag;
 use fades_pnr::implement;
 use fades_rtl::RtlBuilder;
+use std::sync::{PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
+
+/// The lane telemetry counters are process-global and the tests of this
+/// binary run in parallel. Every test that runs the lane engine holds this
+/// lock shared; the tests that reset and read the counters hold it
+/// exclusively, so no other test's lane cycles land in their readings.
+static LANE_COUNTERS: RwLock<()> = RwLock::new(());
+
+fn lanes_running() -> RwLockReadGuard<'static, ()> {
+    LANE_COUNTERS.read().unwrap_or_else(PoisonError::into_inner)
+}
+
+fn lane_counters_exclusive() -> RwLockWriteGuard<'static, ()> {
+    LANE_COUNTERS
+        .write()
+        .unwrap_or_else(PoisonError::into_inner)
+}
 
 /// The campaign-test LFSR (same fixture shape as `fastpath.rs`).
 fn lfsr_design() -> (fades_netlist::Netlist, fades_pnr::Implementation) {
@@ -59,6 +76,7 @@ fn assert_equivalent(
     n: usize,
     seed: u64,
 ) {
+    let _lanes = lanes_running();
     let campaign = Campaign::with_config(nl, imp.clone(), ports, workload_cycles, config(true))
         .expect("campaign");
     let batched = campaign
@@ -223,6 +241,7 @@ fn cohort_overflow_refills_and_multi_pass() {
 
 #[test]
 fn batched_execution_composes_with_shards() {
+    let _lanes = lanes_running();
     // `execute_batched` accepts shards, which is how it composes with
     // `fades-dispatch`: the union of per-shard results must equal the
     // monolithic run. Warm-start picks its checkpoint from each shard's
@@ -256,6 +275,7 @@ fn batched_execution_composes_with_shards() {
 
 #[test]
 fn disabling_batch_makes_run_batched_scalar() {
+    let _lanes = lane_counters_exclusive();
     // With `batch: false` the batched entry points must route everything
     // through the scalar executor — observable as zero lane telemetry.
     let (nl, imp) = lfsr_design();
@@ -316,6 +336,7 @@ fn assert_verdicts_equivalent(
 
 #[test]
 fn batched_isolated_matches_scalar_isolated_bitwise() {
+    let _lanes = lanes_running();
     // The tentpole contract: the lane engine under the isolation
     // contract produces verdicts bit-identical to the scalar isolated
     // executor, and its observer fires exactly once per experiment — at
@@ -344,6 +365,7 @@ fn batched_isolated_matches_scalar_isolated_bitwise() {
 
 #[test]
 fn batched_isolated_scalar_fallback_load_matches() {
+    let _lanes = lanes_running();
     // A load the lane engine cannot express at all (routing delays):
     // `execute_batched_isolated` must route it wholesale to the scalar
     // isolated path and stay equivalent.
@@ -381,6 +403,7 @@ fn dead_logic_design() -> (fades_netlist::Netlist, fades_pnr::Implementation) {
 
 #[test]
 fn silent_faults_retire_lanes_early() {
+    let _lanes = lane_counters_exclusive();
     // Guard against the differential suite silently passing because the
     // batch path quietly fell back to scalar for everything — and check
     // the batch analogue of early stop: pulses into the dead inverters
@@ -433,6 +456,7 @@ fn no_batch_escape_hatch_controls_the_default() {
 
 #[test]
 fn batched_isolated_matches_a_separate_scalar_campaign() {
+    let _lanes = lanes_running();
     // The isolation contract across campaigns: verdicts from
     // `execute_batched_isolated` must stay bit-identical to the isolated
     // path of an independently built scalar campaign.
@@ -450,6 +474,7 @@ fn batched_isolated_matches_a_separate_scalar_campaign() {
 
 #[test]
 fn multi_thread_batched_matches_single_thread_bitwise() {
+    let _lanes = lanes_running();
     // Per-experiment results are cohort-composition-independent (lanes
     // interact only with the golden lane and timing draws are
     // lane-invariant), so chunking the sorted plan across worker threads

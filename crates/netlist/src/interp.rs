@@ -68,6 +68,10 @@ pub struct Simulator<'n> {
     values: Vec<bool>,
     /// Flip-flop state, indexed by cell index (unused slots for non-DFFs).
     ff_state: Vec<bool>,
+    /// Cell indices of the flip-flops, ascending, so that
+    /// [`state_hash`](Self::state_hash) reads only their state instead of
+    /// scanning every cell.
+    ff_cells: Vec<usize>,
     /// Memory contents, indexed by cell index.
     mem: Vec<Vec<u64>>,
     /// Active simulator-command forces.
@@ -97,6 +101,7 @@ impl<'n> Simulator<'n> {
             level,
             values: vec![false; netlist.net_count()],
             ff_state: vec![false; netlist.cell_count()],
+            ff_cells: netlist.dff_ids().iter().map(|id| id.index()).collect(),
             mem: vec![Vec::new(); netlist.cell_count()],
             forces: Vec::new(),
             force_index: vec![u32::MAX; netlist.net_count()],
@@ -508,15 +513,13 @@ impl<'n> Simulator<'n> {
         let mut h = hash_mix(self.cycle ^ 0x5851_F42D_4C95_7F2D);
         let mut acc = 0u64;
         let mut n = 0u32;
-        for (i, cell) in self.netlist.cells().iter().enumerate() {
-            if matches!(cell, Cell::Dff(_)) {
-                acc = (acc << 1) | self.ff_state[i] as u64;
-                n += 1;
-                if n == 64 {
-                    h = hash_mix(h ^ acc);
-                    acc = 0;
-                    n = 0;
-                }
+        for &i in &self.ff_cells {
+            acc = (acc << 1) | self.ff_state[i] as u64;
+            n += 1;
+            if n == 64 {
+                h = hash_mix(h ^ acc);
+                acc = 0;
+                n = 0;
             }
         }
         if n > 0 {

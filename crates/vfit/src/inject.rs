@@ -158,7 +158,7 @@ pub(crate) fn resolve(netlist: &Netlist, class: &VfitTargetClass) -> Vec<VfitFau
 }
 
 /// Specialises a sampled element to the fault model.
-pub(crate) fn specialise(load: &VfitFaultLoad, base: VfitFault, _rng: &mut StdRng) -> VfitFault {
+pub(crate) fn specialise(load: &VfitFaultLoad, base: VfitFault) -> VfitFault {
     match (&load.model, base) {
         (FaultModel::BitFlip, f) => f,
         (FaultModel::Pulse, VfitFault::FfBitFlip(cell)) => {
@@ -196,5 +196,5 @@ pub(crate) fn command_count(fault: &VfitFault, duration: Option<u64>) -> u64 {
 
 pub(crate) fn sample(load: &VfitFaultLoad, pool: &[VfitFault], rng: &mut StdRng) -> VfitFault {
     let base = pool[rng.gen_range(0..pool.len())].clone();
-    specialise(load, base, rng)
+    specialise(load, base)
 }

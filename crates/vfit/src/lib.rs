@@ -9,6 +9,15 @@
 //! precisely why it is slow (the paper measured a flat ~21 600 s per
 //! 3000-fault campaign regardless of fault model, ~7.2 s per experiment).
 //!
+//! The host does not pay that full price per experiment. Each one starts
+//! from the golden checkpoint at or before its injection cycle and stops
+//! once its outcome is decided: at the first output row that differs from
+//! the golden row, or when the fault is inert and the state hash equals
+//! the golden hash of the same cycle. This shortens host wall time only.
+//! The modelled VFIT time ([`VfitTimeModel`]) still charges every
+//! experiment the full run, and outcomes are those of the full
+//! simulation.
+//!
 //! The delay fault model is intentionally **unsupported**, as in the
 //! paper: VFIT requires the model to expose signal delays through generic
 //! clauses, which the 8051 model does not (Table 3 shows dashes for
@@ -35,6 +44,8 @@
 )]
 
 mod campaign;
+#[cfg(test)]
+mod differential;
 mod inject;
 #[cfg(test)]
 mod tests;

@@ -5,7 +5,7 @@ use fades_rtl::RtlBuilder;
 
 use crate::{VfitCampaign, VfitFaultLoad, VfitTargetClass};
 
-fn counter_netlist() -> fades_netlist::Netlist {
+pub(crate) fn counter_netlist() -> fades_netlist::Netlist {
     let mut b = RtlBuilder::new("cnt");
     let r = b.reg("cnt", 8, 0);
     let q = r.q().clone();
@@ -69,4 +69,43 @@ fn oscillating_indetermination_differs_from_fixed() {
     let f = campaign.run(&fixed, 10, 7).unwrap();
     assert!(stats.simulation_seconds > f.simulation_seconds);
     assert!(stats.simulation_seconds < f.simulation_seconds * 2.0);
+}
+
+#[test]
+fn zero_fault_campaign_returns_empty_stats() {
+    let nl = counter_netlist();
+    let campaign = VfitCampaign::new(&nl, &["q"], 100).unwrap();
+    let load = VfitFaultLoad::bit_flips(VfitTargetClass::AllFfs, DurationRange::SubCycle);
+    let stats = campaign.run(&load, 0, 1).unwrap();
+    assert_eq!(stats.total(), 0);
+    assert_eq!(stats.outcomes, fades_core::OutcomeStats::default());
+    assert_eq!(stats.simulation_seconds, 0.0);
+}
+
+#[test]
+fn zero_cycle_workload_injects_at_cycle_zero() {
+    let nl = counter_netlist();
+    let campaign = VfitCampaign::new(&nl, &["q"], 0).unwrap();
+    let load = VfitFaultLoad::bit_flips(VfitTargetClass::AllFfs, DurationRange::SubCycle);
+    let stats = campaign.run(&load, 5, 2).unwrap();
+    // The 64-cycle margin still runs, so every counter flip shows.
+    assert_eq!(stats.outcomes.failures, 5);
+}
+
+#[test]
+fn run_log_records_carry_skipped_prefix_cycles() {
+    let nl = counter_netlist();
+    let campaign = VfitCampaign::new(&nl, &["q"], 400).unwrap();
+    let load = VfitFaultLoad::bit_flips(VfitTargetClass::AllFfs, DurationRange::SubCycle);
+    let label = "vfit provenance test";
+    campaign.run_named(label, &load, 20, 5).unwrap();
+    let agg = fades_telemetry::peek_aggregates()
+        .into_iter()
+        .find(|a| a.name == label)
+        .expect("the campaign registered its aggregate");
+    assert_eq!(agg.n, 20);
+    assert!(agg.skipped_cycles > 0, "no prefix was skipped");
+    // A counter flip shows on the row of its injection cycle, so each
+    // run stops there.
+    assert!(agg.early_stop_cycles > 0, "no run stopped early");
 }

@@ -22,7 +22,7 @@ cargo test -q --workspace --offline
 # the gate and a perf regression shows up as a number, not a feeling.
 echo "== cargo test --release (heavy campaign suites, timed)"
 cargo build --release --tests --offline -q
-for suite in "-p fades-core" "-p fades-dispatch" "-p fades-repro"; do
+for suite in "-p fades-core" "-p fades-dispatch" "-p fades-vfit" "-p fades-repro"; do
     echo "-- cargo test --release $suite"
     start=$(date +%s%N)
     # shellcheck disable=SC2086  # word-splitting the package flag is intended
