@@ -137,7 +137,7 @@ fn bench_fastpath(c: &mut Criterion) {
                 threads: 1,
                 margin_cycles: 64,
                 fastpath,
-                batch: true,
+                batch: false,
             },
         )
         .expect("campaign");
@@ -198,19 +198,22 @@ fn bench_batch(c: &mut Criterion) {
     let load = FaultLoad::bit_flips(TargetClass::AllFfs, DurationRange::SubCycle);
     const N_FAULTS: usize = 64;
 
-    let campaign = Campaign::with_config(
-        &soc.netlist,
-        imp,
-        &OBSERVED_PORTS,
-        1330,
-        CampaignConfig {
-            threads: 1,
-            margin_cycles: 64,
-            fastpath: true,
-            batch: true,
-        },
-    )
-    .expect("campaign");
+    let campaign = |batch: bool| {
+        Campaign::with_config(
+            &soc.netlist,
+            imp.clone(),
+            &OBSERVED_PORTS,
+            1330,
+            CampaignConfig {
+                threads: 1,
+                margin_cycles: 64,
+                fastpath: true,
+                batch,
+            },
+        )
+        .expect("campaign")
+    };
+    let (scalar, batched) = (campaign(false), campaign(true));
 
     let mut group = c.benchmark_group("batch_throughput");
     group
@@ -219,14 +222,10 @@ fn bench_batch(c: &mut Criterion) {
         .measurement_time(std::time::Duration::from_secs(10))
         .throughput(Throughput::Elements(N_FAULTS as u64));
     group.bench_function("scalar_64_ff_flips", |b| {
-        b.iter(|| campaign.run_detailed(&load, N_FAULTS, 7).expect("runs"));
+        b.iter(|| scalar.run_detailed(&load, N_FAULTS, 7).expect("runs"));
     });
     group.bench_function("batched_64_ff_flips", |b| {
-        b.iter(|| {
-            campaign
-                .run_batched_detailed(&load, N_FAULTS, 7)
-                .expect("runs")
-        });
+        b.iter(|| batched.run_detailed(&load, N_FAULTS, 7).expect("runs"));
     });
     group.finish();
 }

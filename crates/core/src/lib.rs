@@ -26,6 +26,13 @@
 //! [`TimeModel`] can report emulation time the way the paper's Figure 10
 //! and Table 2 do.
 //!
+//! [`Campaign::run`] executes on the bit-parallel lane engine (63 faulty
+//! machines plus the golden run per `u64` word), with a scalar fallback
+//! for the faults lanes cannot express (routing delays, oscillating
+//! indeterminations). The scalar per-experiment `Device` path is the
+//! oracle: [`CampaignConfig::batch`] off, `FADES_NO_BATCH`, and
+//! [`Campaign::execute`] run everything there, bit-identically.
+//!
 //! # Example
 //!
 //! ```

@@ -8,14 +8,19 @@
 //! give identical faults, outcomes, configuration traffic and
 //! (bit-for-bit) modelled emulation time on both paths, including for
 //! loads whose faults the lane engine cannot express and routes to the
-//! scalar fallback.
+//! scalar fallback. `Campaign::run` is lane-backed, so the scalar side
+//! always comes from a `batch: false` campaign or `Campaign::execute`.
 
 #![allow(clippy::unwrap_used, clippy::expect_used, clippy::missing_panics_doc)]
 
-use fades_core::{Campaign, CampaignConfig, DurationRange, FaultLoad, PermanentFault, TargetClass};
+use fades_core::{
+    Campaign, CampaignConfig, DurationRange, FaultLoad, FaultSchedule, PermanentFault,
+    PlanAnnotation, PlannedExperiment, ResolvedFault, TargetClass,
+};
 use fades_netlist::UnitTag;
 use fades_pnr::implement;
 use fades_rtl::RtlBuilder;
+use fades_telemetry::Recorder;
 use std::sync::{PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 /// The lane telemetry counters are process-global and the tests of this
@@ -64,9 +69,10 @@ fn config(batch: bool) -> CampaignConfig {
     }
 }
 
-/// Runs `load` on both paths of the *same* campaign and asserts the
-/// per-experiment results and aggregated stats are identical — outcomes
-/// and traffic exactly, modelled emulation seconds to the bit.
+/// Runs `load` on the lane engine and on a `batch: false` oracle campaign
+/// and asserts the per-experiment results and aggregated stats are
+/// identical — outcomes and traffic exactly, modelled emulation seconds to
+/// the bit.
 fn assert_equivalent(
     nl: &fades_netlist::Netlist,
     imp: &fades_pnr::Implementation,
@@ -79,10 +85,10 @@ fn assert_equivalent(
     let _lanes = lanes_running();
     let campaign = Campaign::with_config(nl, imp.clone(), ports, workload_cycles, config(true))
         .expect("campaign");
-    let batched = campaign
-        .run_batched_detailed(load, n, seed)
-        .expect("batched run");
-    let scalar = campaign.run_detailed(load, n, seed).expect("scalar run");
+    let oracle = Campaign::with_config(nl, imp.clone(), ports, workload_cycles, config(false))
+        .expect("oracle campaign");
+    let batched = campaign.run_detailed(load, n, seed).expect("batched run");
+    let scalar = oracle.run_detailed(load, n, seed).expect("scalar run");
     assert_eq!(batched.len(), scalar.len());
     for (b, s) in batched.iter().zip(&scalar) {
         assert_eq!(b.fault, s.fault, "{load:?}");
@@ -97,8 +103,8 @@ fn assert_equivalent(
     }
     // The modelled campaign time — the paper's reported quantity — must
     // agree to the bit, not just approximately.
-    let bs = campaign.run_batched(load, n, seed).expect("batched stats");
-    let ss = campaign.run(load, n, seed).expect("scalar stats");
+    let bs = campaign.run(load, n, seed).expect("batched stats");
+    let ss = oracle.run(load, n, seed).expect("scalar stats");
     assert_eq!(bs.outcomes, ss.outcomes, "{load:?}");
     assert_eq!(
         bs.emulation_seconds.to_bits(),
@@ -146,7 +152,7 @@ fn cb_input_pulses_match_scalar_path() {
 #[test]
 fn wire_delays_fall_back_to_scalar_and_match() {
     // Routing delays are not lane-expressible: the whole load routes to
-    // the scalar fallback inside `run_batched`, which must still produce
+    // the scalar fallback inside `run`, which must still produce
     // results identical to a plain scalar run.
     let (nl, imp) = lfsr_design();
     let load = FaultLoad::delays(TargetClass::SequentialWires, DurationRange::SHORT);
@@ -274,16 +280,18 @@ fn batched_execution_composes_with_shards() {
 }
 
 #[test]
-fn disabling_batch_makes_run_batched_scalar() {
+fn disabling_batch_makes_run_scalar() {
     let _lanes = lane_counters_exclusive();
-    // With `batch: false` the batched entry points must route everything
+    // With `batch: false` the campaign entry points must route everything
     // through the scalar executor — observable as zero lane telemetry.
     let (nl, imp) = lfsr_design();
     let campaign = Campaign::with_config(&nl, imp, &["q"], 150, config(false)).unwrap();
     let load = FaultLoad::bit_flips(TargetClass::AllFfs, DurationRange::SHORT);
     fades_telemetry::sim::reset();
-    let scalar = campaign.run_detailed(&load, 8, 214).unwrap();
-    let batched = campaign.run_batched_detailed(&load, 8, 214).unwrap();
+    let scalar = campaign
+        .execute(&campaign.plan(&load, 8, 214).unwrap(), None)
+        .unwrap();
+    let batched = campaign.run_detailed(&load, 8, 214).unwrap();
     assert_eq!(
         fades_telemetry::sim::LANE_CYCLES.get(),
         0,
@@ -412,7 +420,7 @@ fn silent_faults_retire_lanes_early() {
     let campaign = Campaign::with_config(&nl, imp.clone(), &["q"], 150, config(true)).unwrap();
     let load = FaultLoad::pulses(TargetClass::AllLuts, DurationRange::SHORT);
     fades_telemetry::sim::reset();
-    let batched = campaign.run_batched_detailed(&load, 20, 17).unwrap();
+    let batched = campaign.run_detailed(&load, 20, 17).unwrap();
     assert!(
         fades_telemetry::sim::LANE_CYCLES.get() > 0,
         "the lane engine never ran"
@@ -433,7 +441,9 @@ fn silent_faults_retire_lanes_early() {
             .collect::<Vec<_>>()
     );
     // And the retired outcomes still match the scalar reference.
-    let scalar = campaign.run_detailed(&load, 20, 17).unwrap();
+    let scalar = campaign
+        .execute(&campaign.plan(&load, 20, 17).unwrap(), None)
+        .unwrap();
     for (b, s) in batched.iter().zip(&scalar) {
         assert_eq!(b.outcome, s.outcome, "fault {:?}", b.fault);
         assert_eq!(b.traffic, s.traffic);
@@ -495,9 +505,9 @@ fn multi_thread_batched_matches_single_thread_bitwise() {
     )
     .unwrap();
     let st = Campaign::with_config(&nl, imp.clone(), &["q"], 150, config(true)).unwrap();
-    let threaded = mt.run_batched_detailed(&load, n, 221).unwrap();
-    let single = st.run_batched_detailed(&load, n, 221).unwrap();
-    let scalar = st.run_detailed(&load, n, 221).unwrap();
+    let threaded = mt.run_detailed(&load, n, 221).unwrap();
+    let single = st.run_detailed(&load, n, 221).unwrap();
+    let scalar = st.execute(&st.plan(&load, n, 221).unwrap(), None).unwrap();
     assert_eq!(threaded.len(), single.len());
     assert_eq!(threaded.len(), scalar.len());
     for ((t, o), s) in threaded.iter().zip(&single).zip(&scalar) {
@@ -507,12 +517,113 @@ fn multi_thread_batched_matches_single_thread_bitwise() {
         assert_eq!(t.traffic, o.traffic, "fault {:?}", t.fault);
         assert_eq!(t.traffic, s.traffic, "fault {:?}", t.fault);
     }
-    let ts = mt.run_batched(&load, n, 221).unwrap();
-    let os = st.run_batched(&load, n, 221).unwrap();
+    let ts = mt.run(&load, n, 221).unwrap();
+    let os = st.run(&load, n, 221).unwrap();
     assert_eq!(ts.outcomes, os.outcomes);
     assert_eq!(
         ts.emulation_seconds.to_bits(),
         os.emulation_seconds.to_bits(),
         "modelled time must not depend on the thread count"
     );
+}
+
+#[test]
+fn lane_experiments_are_recorded_as_their_lanes_retire() {
+    let _lanes = lanes_running();
+    // A fail-fast lane run that errors part-way through its cohort: the
+    // experiments whose lanes retired before the error must already be in
+    // the recorder. Recording them only after the whole lane run returns
+    // would freeze `/status` progress for the length of a campaign.
+    let (nl, imp) = lfsr_design();
+    let campaign = Campaign::with_config(&nl, imp.clone(), &["q"], 150, config(true)).unwrap();
+    let load = FaultLoad::bit_flips(TargetClass::AllFfs, DurationRange::SHORT);
+    let mut plan = campaign.plan(&load, 8, 223).unwrap();
+    // The poison: a flip into a block without a flip-flop, injected at
+    // the last workload cycle, long after the good flips have diverged
+    // and retired.
+    plan.experiments.push(PlannedExperiment {
+        index: 8,
+        fault: ResolvedFault::FfBitFlip {
+            cb: imp.bitstream.unused_cbs()[0],
+            via_gsr: false,
+        },
+        schedule: FaultSchedule {
+            inject_at: 149,
+            duration: None,
+        },
+        seed: 0,
+        annotation: PlanAnnotation::None,
+    });
+    plan.n_total = 9;
+    let recorder = Recorder::new("live-lanes", 9, 1).with_run_log(None);
+    assert!(campaign.execute_batched(&plan, Some(&recorder)).is_err());
+    let aggregate = recorder.finish();
+    let _ = fades_telemetry::drain_aggregates();
+    let retired_early = plan.experiments[..8]
+        .iter()
+        .filter(|e| e.schedule.inject_at < 140)
+        .count();
+    assert!(retired_early > 0, "the plan needs early injections");
+    assert!(
+        aggregate.n as usize >= retired_early,
+        "only {} of the {retired_early} experiments retired before the error were recorded",
+        aggregate.n
+    );
+}
+
+#[test]
+fn run_log_names_the_engine_that_decided_each_experiment() {
+    let _lanes = lanes_running();
+    // One plan mixing lane-expressible bit-flips with routing delays,
+    // which fall back to the scalar `Device`: each run-log record must
+    // name the engine that decided it.
+    let (nl, imp) = lfsr_design();
+    let campaign = Campaign::with_config(&nl, imp, &["q"], 150, config(true)).unwrap();
+    let flips = FaultLoad::bit_flips(TargetClass::AllFfs, DurationRange::SHORT);
+    let delays = FaultLoad::delays(TargetClass::SequentialWires, DurationRange::SHORT);
+    let mut plan = campaign.plan(&flips, 6, 224).unwrap();
+    plan.experiments.extend(
+        campaign
+            .plan(&delays, 4, 225)
+            .unwrap()
+            .experiments
+            .into_iter()
+            .map(|mut e| {
+                e.index += 6;
+                e
+            }),
+    );
+    plan.n_total = 10;
+
+    let log = std::env::temp_dir().join(format!("fades-engine-test-{}.jsonl", std::process::id()));
+    let _ = std::fs::remove_file(&log);
+    let recorder = Recorder::new("engine-mix", 10, 1).with_run_log(Some(log.clone()));
+    campaign.execute_batched(&plan, Some(&recorder)).unwrap();
+    recorder.finish();
+    let _ = fades_telemetry::drain_aggregates();
+
+    let text = std::fs::read_to_string(&log).expect("run log written");
+    let _ = std::fs::remove_file(&log);
+    let mut seen = 0;
+    for line in text.lines() {
+        let v = fades_telemetry::json::parse(line).unwrap();
+        if v.get("type").and_then(|t| t.as_str()) != Some("experiment") {
+            continue;
+        }
+        let index = v
+            .get("index")
+            .and_then(fades_telemetry::json::JsonValue::as_u64)
+            .unwrap();
+        let expected = match plan.experiments[index as usize].fault {
+            ResolvedFault::WireDelay { .. } => "scalar",
+            _ => "lane",
+        };
+        assert_eq!(
+            v.get("engine").and_then(|e| e.as_str()),
+            Some(expected),
+            "experiment {index}: {line}"
+        );
+        seen += 1;
+    }
+    assert_eq!(seen, 10, "one record per experiment:\n{text}");
 }

@@ -1,8 +1,9 @@
 //! Property-based equivalence of the lane engine: random small netlists,
 //! random fault loads, and the `CampaignStats` — outcome tallies *and*
 //! the bit pattern of the modelled emulation seconds — must be identical
-//! between `run_batched`, the scalar path, and the scalar path with the
-//! fast path disabled (`FADES_NO_FASTPATH`'s effect, set here through
+//! between `run` on the lane engine, the scalar path (a `batch: false`
+//! campaign, the oracle), and the scalar path with the fast path
+//! disabled (`FADES_NO_FASTPATH`'s effect, set here through
 //! [`CampaignConfig::fastpath`] so cases cannot race on the environment).
 
 #![allow(clippy::unwrap_used, clippy::expect_used, clippy::missing_panics_doc)]
@@ -87,6 +88,16 @@ proptest! {
             },
         )
         .expect("campaign");
+        let scalar_campaign = Campaign::with_config(
+            &nl,
+            imp.clone(),
+            &["q"],
+            cycles,
+            CampaignConfig {
+                threads: 1, margin_cycles: 32, fastpath: true, batch: false,
+            },
+        )
+        .expect("campaign");
         let slow = Campaign::with_config(
             &nl,
             imp,
@@ -98,8 +109,8 @@ proptest! {
         )
         .expect("campaign");
 
-        let batched = fast.run_batched(&load, n, seed).expect("batched");
-        let scalar = fast.run(&load, n, seed).expect("scalar");
+        let batched = fast.run(&load, n, seed).expect("batched");
+        let scalar = scalar_campaign.run(&load, n, seed).expect("scalar");
         let no_fastpath = slow.run(&load, n, seed).expect("no fastpath");
 
         prop_assert_eq!(&batched.outcomes, &scalar.outcomes, "batched vs scalar");

@@ -3,7 +3,8 @@
 #![allow(clippy::unwrap_used, clippy::expect_used, clippy::missing_panics_doc)]
 
 use fades_core::{
-    Campaign, DurationRange, FaultLoad, FaultModel, Outcome, PermanentFault, TargetClass,
+    Campaign, CampaignConfig, DurationRange, FaultLoad, FaultModel, Outcome, PermanentFault,
+    TargetClass,
 };
 use fades_fpga::ArchParams;
 use fades_netlist::UnitTag;
@@ -278,4 +279,58 @@ fn multi_flip_flips_exactly_the_targeted_ffs() {
         let expect = value ^ targets.contains(&cb);
         assert_eq!(dev.peek_ff(cb).unwrap(), expect, "{cb}");
     }
+}
+
+#[test]
+fn one_plan_screening_matches_per_ff_screening_on_the_scalar_oracle() {
+    // An observed counter and an unobserved one: flips in the first fail,
+    // flips in the second stay latent, so the screened set is a proper
+    // subset of the used FFs and a mis-assigned flip would show.
+    let mut b = RtlBuilder::new("screen");
+    let cnt = b.reg("cnt", 4, 0);
+    let q = cnt.q().clone();
+    let next = b.add_const(&q, 1);
+    b.connect(cnt, &next);
+    b.output("q", &q);
+    let shadow = b.reg("shadow", 4, 3);
+    let s = shadow.q().clone();
+    let s_next = b.add_const(&s, 1);
+    b.connect(shadow, &s_next);
+    b.output("unused_dbg", &s);
+    let nl = b.finish().unwrap();
+    let imp = implement(&nl, ArchParams::small()).unwrap();
+    let config = |batch| CampaignConfig {
+        threads: 2,
+        margin_cycles: 64,
+        fastpath: true,
+        batch,
+    };
+    let lanes = Campaign::with_config(&nl, imp.clone(), &["q"], 150, config(true)).unwrap();
+    let oracle = Campaign::with_config(&nl, imp.clone(), &["q"], 150, config(false)).unwrap();
+    let used = imp.bitstream.used_ffs();
+    for (per_ff, seed) in [(1, 99), (3, 100)] {
+        // Per-FF screening on the scalar oracle: one `per_ff`-fault
+        // campaign per FF, seeded as `screen_sensitive_ffs` documents.
+        let reference: Vec<_> = used
+            .iter()
+            .enumerate()
+            .filter(|&(i, &cb)| {
+                let load =
+                    FaultLoad::bit_flips(TargetClass::FfSites(vec![cb]), DurationRange::SubCycle);
+                oracle
+                    .run_detailed(&load, per_ff, seed ^ ((i as u64 + 1) << 20))
+                    .unwrap()
+                    .iter()
+                    .any(|r| r.outcome == Outcome::Failure)
+            })
+            .map(|(_, &cb)| cb)
+            .collect();
+        assert!(!reference.is_empty() && reference.len() < used.len());
+        assert_eq!(lanes.screen_sensitive_ffs(per_ff, seed).unwrap(), reference);
+        assert_eq!(
+            oracle.screen_sensitive_ffs(per_ff, seed).unwrap(),
+            reference
+        );
+    }
+    assert!(lanes.screen_sensitive_ffs(0, 1).unwrap().is_empty());
 }

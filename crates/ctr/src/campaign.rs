@@ -181,6 +181,7 @@ impl<'n> CtrCampaign<'n> {
                 outcome: outcome.as_str(),
                 modelled_s: modelled,
                 wall_us: started.elapsed().as_micros() as u64,
+                engine: "ctr",
                 ..Default::default()
             });
         }

@@ -1,6 +1,7 @@
 //! Lane-engine speed-up: the same single-threaded FF bit-flip campaign
-//! executed scalar (one faulty machine at a time) and batched (63 faulty
-//! machines plus golden per `u64` word).
+//! executed scalar (one faulty machine at a time, on a `batch: false`
+//! campaign — the scalar oracle) and batched (63 faulty machines plus
+//! golden per `u64` word, what `Campaign::run` does by default).
 //!
 //! Both runs feed the telemetry recorder under distinct labels, so
 //! `BENCH_campaign.json` reports `faults_per_sec` for each and the ratio
@@ -62,26 +63,32 @@ pub fn run(
     threads: usize,
 ) -> Result<BatchSpeedResult, CoreError> {
     let load = FaultLoad::bit_flips(TargetClass::AllFfs, DurationRange::SubCycle);
-    let campaign = Campaign::with_config(
-        &ctx.soc().netlist,
-        ctx.implementation().clone(),
-        &OBSERVED_PORTS,
-        ctx.workload_cycles(),
-        CampaignConfig {
-            threads: 1,
-            ..CampaignConfig::default()
-        },
-    )?;
+    let campaign = |threads: usize, batch: bool| {
+        Campaign::with_config(
+            &ctx.soc().netlist,
+            ctx.implementation().clone(),
+            &OBSERVED_PORTS,
+            ctx.workload_cycles(),
+            CampaignConfig {
+                threads,
+                batch,
+                ..CampaignConfig::default()
+            },
+        )
+    };
 
+    // The scalar row runs on the `batch: false` oracle path.
+    let oracle = campaign(1, false)?;
     let t0 = Instant::now();
-    let scalar = campaign.run_named("ff-flip-scalar", &load, n_faults, seed)?;
+    let scalar = oracle.run_named("ff-flip-scalar", &load, n_faults, seed)?;
     let scalar_wall = t0.elapsed().as_secs_f64();
 
+    let lanes = campaign(1, true)?;
     fades_telemetry::sim::LANE_CYCLES.reset();
     fades_telemetry::sim::BATCH_CYCLES.reset();
     fades_telemetry::sim::LANE_RETIREMENTS.reset();
     let t1 = Instant::now();
-    let batched = campaign.run_batched_named("ff-flip-batched", &load, n_faults, seed)?;
+    let batched = lanes.run_named("ff-flip-batched", &load, n_faults, seed)?;
     let batched_wall = t1.elapsed().as_secs_f64();
 
     assert_equivalent(&scalar, &batched);
@@ -95,19 +102,9 @@ pub fn run(
     ];
 
     if threads > 1 {
-        let mt_campaign = Campaign::with_config(
-            &ctx.soc().netlist,
-            ctx.implementation().clone(),
-            &OBSERVED_PORTS,
-            ctx.workload_cycles(),
-            CampaignConfig {
-                threads,
-                ..CampaignConfig::default()
-            },
-        )?;
+        let mt_campaign = campaign(threads, true)?;
         let t2 = Instant::now();
-        let batched_mt =
-            mt_campaign.run_batched_named("ff-flip-batched-mt", &load, n_faults, seed)?;
+        let batched_mt = mt_campaign.run_named("ff-flip-batched-mt", &load, n_faults, seed)?;
         let mt_wall = t2.elapsed().as_secs_f64();
         assert_equivalent(&scalar, &batched_mt);
         rows.push(row("batched, multi-thread", &batched_mt, n_faults, mt_wall));

@@ -1,6 +1,7 @@
 //! Shared experimental setup (paper §6.1).
 
-use std::cell::OnceCell;
+use std::cell::RefCell;
+use std::collections::HashMap;
 
 use fades_core::{Campaign, CoreError};
 use fades_fpga::{ArchParams, CbCoord};
@@ -18,7 +19,7 @@ pub struct ExperimentContext {
     workload: Workload,
     implementation: Implementation,
     workload_cycles: u64,
-    screened: OnceCell<Vec<CbCoord>>,
+    screened: RefCell<HashMap<u64, Vec<CbCoord>>>,
 }
 
 impl ExperimentContext {
@@ -48,7 +49,7 @@ impl ExperimentContext {
             workload,
             implementation,
             workload_cycles: trace.cycles,
-            screened: OnceCell::new(),
+            screened: RefCell::default(),
         })
     }
 
@@ -121,20 +122,17 @@ impl ExperimentContext {
 
     /// The screened sensitive flip-flop sites (paper §6.3's first
     /// experiment: "only 14 registers (81 FFs out of 637) were eligible").
-    /// Computed once and cached.
+    /// Computed once per seed and cached.
     ///
     /// # Errors
     ///
     /// Propagates campaign errors.
-    pub fn sensitive_ffs(&self, seed: u64) -> Result<&[CbCoord], CoreError> {
-        if self.screened.get().is_none() {
-            let campaign = self.fades_campaign()?;
-            let found = campaign.screen_sensitive_ffs(3, seed)?;
-            let _ = self.screened.set(found);
+    pub fn sensitive_ffs(&self, seed: u64) -> Result<Vec<CbCoord>, CoreError> {
+        if let Some(found) = self.screened.borrow().get(&seed) {
+            return Ok(found.clone());
         }
-        Ok(self
-            .screened
-            .get()
-            .unwrap_or_else(|| unreachable!("initialised above")))
+        let found = self.fades_campaign()?.screen_sensitive_ffs(3, seed)?;
+        self.screened.borrow_mut().insert(seed, found.clone());
+        Ok(found)
     }
 }

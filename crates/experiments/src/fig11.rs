@@ -29,7 +29,7 @@ pub struct Fig11Result {
 ///
 /// Propagates campaign errors.
 pub fn run(ctx: &ExperimentContext, n_faults: usize, seed: u64) -> Result<Fig11Result, CoreError> {
-    let sensitive = ctx.sensitive_ffs(seed)?.to_vec();
+    let sensitive = ctx.sensitive_ffs(seed)?;
     let total_ffs = ctx.implementation().bitstream.used_ffs().len();
     let campaign = ctx.fades_campaign()?;
     let registers = campaign

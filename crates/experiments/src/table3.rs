@@ -51,7 +51,7 @@ pub fn run(ctx: &ExperimentContext, n_faults: usize, seed: u64) -> Result<Table3
     let mut rows = Vec::new();
 
     // --- Bit-flip into the screened registers ---------------------------
-    let sensitive = ctx.sensitive_ffs(seed)?.to_vec();
+    let sensitive = ctx.sensitive_ffs(seed)?;
     let map = &ctx.implementation().map;
     // The same physical FFs, expressed as model registers for VFIT.
     let sensitive_cells: Vec<_> = sensitive

@@ -48,6 +48,21 @@ fn fig11_reports_screening_and_both_campaigns() {
 }
 
 #[test]
+fn sensitive_ffs_screens_each_seed_on_its_own() {
+    // The screening cache is keyed by seed: a second seed gets its own
+    // screening, not the first caller's.
+    let ctx = ctx();
+    let campaign = ctx.fades_campaign().expect("campaign");
+    let (a, b) = (SEED, SEED + 1);
+    let fresh_a = campaign.screen_sensitive_ffs(3, a).expect("screening");
+    let fresh_b = campaign.screen_sensitive_ffs(3, b).expect("screening");
+    assert_ne!(fresh_a, fresh_b, "the two seeds must screen differently");
+    assert_eq!(ctx.sensitive_ffs(a).expect("screening"), fresh_a);
+    assert_eq!(ctx.sensitive_ffs(b).expect("screening"), fresh_b);
+    assert_eq!(ctx.sensitive_ffs(a).expect("cached"), fresh_a);
+}
+
+#[test]
 fn per_duration_figures_have_full_grids() {
     let ctx = ctx();
     let f12 = fig12::run(&ctx, N, SEED).expect("fig12");

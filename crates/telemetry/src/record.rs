@@ -53,6 +53,9 @@ pub struct ExperimentRecord {
     /// Execution attempts it took (1 = first try; >1 means the isolating
     /// executor retried after a contained panic or error).
     pub attempts: u64,
+    /// The engine that decided the outcome: `"lane"` (bit-parallel lane
+    /// engine), `"scalar"` (per-experiment `Device`), `"vfit"` or `"ctr"`.
+    pub engine: &'static str,
 }
 
 impl ExperimentRecord {
@@ -78,6 +81,7 @@ impl ExperimentRecord {
             .u64("early_stop_cycles", self.early_stop_cycles)
             .u64("wall_us", self.wall_us)
             .u64("attempts", self.attempts.max(1))
+            .str("engine", self.engine)
             .finish()
     }
 }

@@ -255,6 +255,7 @@ impl<'n> VfitCampaign<'n> {
                             skipped_cycles: run.skipped_cycles,
                             early_stop_cycles: run.early_stop_cycles,
                             wall_us: started.elapsed().as_micros() as u64,
+                            engine: "vfit",
                             ..Default::default()
                         });
                         *out = Some(run.outcome);

@@ -20,7 +20,7 @@ fn memory_bitflips_fail_more_often_than_register_bitflips() {
     // registers.
     let ctx = ExperimentContext::new().expect("context");
     let campaign = ctx.fades_campaign().expect("campaign");
-    let sensitive = ctx.sensitive_ffs(SEED).expect("screening").to_vec();
+    let sensitive = ctx.sensitive_ffs(SEED).expect("screening");
     let regs = campaign
         .run(
             &FaultLoad::bit_flips(TargetClass::FfSites(sensitive), DurationRange::SubCycle),
