@@ -45,7 +45,8 @@ pub enum CoreError {
     /// isolated executor) instead of aborting the process anonymously.
     ExperimentPanic {
         /// Global plan index of the experiment the worker was running
-        /// (`u64::MAX` if the worker died before starting one).
+        /// (`u64::MAX` if the worker died before starting one, or, on the
+        /// lane engine, outside every experiment's strategy code).
         index: u64,
         /// The panic payload, when it was a string.
         message: String,

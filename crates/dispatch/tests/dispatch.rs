@@ -5,7 +5,7 @@
 use std::fs;
 use std::path::PathBuf;
 
-use fades_core::{Campaign, DurationRange, FaultLoad, TargetClass};
+use fades_core::{Campaign, CampaignConfig, DurationRange, FaultLoad, TargetClass};
 use fades_dispatch::{merge, run_shard, CancelToken, DispatchError, Journal, ShardOptions};
 use fades_fpga::ArchParams;
 use fades_netlist::UnitTag;
@@ -35,6 +35,21 @@ fn lfsr_campaign() -> (fades_netlist::Netlist, fades_pnr::Implementation) {
     (netlist, imp)
 }
 
+/// The fixture on the scalar oracle: a `batch: false` campaign, whose
+/// `run` never touches the lane engine. Monolithic ground truths come
+/// from here so lane-engine shards are checked against the scalar
+/// `Device`, not against the lane engine itself.
+fn scalar_oracle<'n>(
+    nl: &'n fades_netlist::Netlist,
+    imp: &fades_pnr::Implementation,
+) -> Campaign<'n> {
+    let config = CampaignConfig {
+        batch: false,
+        ..CampaignConfig::default()
+    };
+    Campaign::with_config(nl, imp.clone(), &["q"], 150, config).unwrap()
+}
+
 fn scratch_dir(test: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("fades-dispatch-{test}-{}", std::process::id()));
     let _ = fs::remove_dir_all(&dir);
@@ -56,14 +71,14 @@ fn opts_batch(batch: bool) -> ShardOptions {
 #[test]
 fn merged_shards_are_bit_identical_to_the_monolithic_run() {
     // Both shard engines — scalar isolated and the batched lane engine —
-    // must merge to stats bit-identical to the monolithic run, for every
-    // shard count.
+    // must merge to stats bit-identical to the monolithic run on the
+    // scalar oracle, for every shard count.
     let (nl, imp) = lfsr_campaign();
-    let campaign = Campaign::new(&nl, imp, &["q"], 150).unwrap();
+    let campaign = Campaign::new(&nl, imp.clone(), &["q"], 150).unwrap();
     let load = FaultLoad::pulses(TargetClass::AllLuts, DurationRange::SHORT);
     let (n, seed) = (30, 42);
 
-    let monolithic = campaign.run(&load, n, seed).unwrap();
+    let monolithic = scalar_oracle(&nl, &imp).run(&load, n, seed).unwrap();
     let plan = campaign.plan(&load, n, seed).unwrap();
     let dir = scratch_dir("bitident");
 
@@ -241,7 +256,7 @@ fn resume_after_kill_skips_journaled_experiments() {
 #[test]
 fn cancelled_shard_leaves_a_resumable_journal() {
     let (nl, imp) = lfsr_campaign();
-    let campaign = Campaign::new(&nl, imp, &["q"], 150).unwrap();
+    let campaign = Campaign::new(&nl, imp.clone(), &["q"], 150).unwrap();
     let load = FaultLoad::pulses(TargetClass::AllLuts, DurationRange::SubCycle);
     let (n, seed) = (12, 7);
     let plan = campaign.plan(&load, n, seed).unwrap();
@@ -263,9 +278,10 @@ fn cancelled_shard_leaves_a_resumable_journal() {
     let replay = Journal::load(&path).unwrap();
     assert!(!replay.shard_complete, "a cancelled shard is not complete");
 
-    // Re-running with a live token resumes and completes; stats are
-    // bit-identical to the monolithic run of the same plan.
-    let monolithic = campaign.run(&load, n, seed).unwrap();
+    // Re-running with a live token resumes and completes (on the lane
+    // engine, `opts()`'s default); stats are bit-identical to the
+    // monolithic run of the same plan on the scalar oracle.
+    let monolithic = scalar_oracle(&nl, &imp).run(&load, n, seed).unwrap();
     let live = ShardOptions {
         cancel: Some(CancelToken::new()),
         ..opts()

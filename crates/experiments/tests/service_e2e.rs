@@ -7,11 +7,14 @@
 //! whose server was SIGKILLed mid-run and restarted on the same queue
 //! directory — must equal a monolithic run of the same (load, faults,
 //! seed) computed in-process, bit for bit. The short job's ground truth
-//! is the scalar [`Campaign::run`] itself; the long job's is a
-//! single-process single-shard lane run (which the dispatch suite
-//! proves bit-identical to `Campaign::run`, and which is fast enough
-//! to recompute here — the scalar path would take minutes at this
-//! fault count).
+//! is [`Campaign::run`] on a `batch: false` campaign — the scalar
+//! oracle — so the lane-sharded service is checked against the scalar
+//! `Device` on the 8051; the long job's is a single-process single-shard
+//! lane run (which the dispatch suite proves bit-identical to the scalar
+//! oracle, and which is fast enough to recompute here — the scalar path
+//! would take minutes at this fault count).
+//!
+//! [`Campaign::run`]: fades_core::Campaign::run
 
 #![allow(clippy::unwrap_used, clippy::expect_used, clippy::missing_panics_doc)]
 
@@ -193,7 +196,18 @@ fn http_campaigns_survive_sigkill_and_match_monolithic_bits() {
     mark!("context built");
     let campaign = ctx.fades_campaign().expect("campaign");
     let load = named_load(&ctx, "pulse-luts").expect("known load");
-    let small_bits = campaign
+    let oracle = fades_core::Campaign::with_config(
+        &ctx.soc().netlist,
+        ctx.implementation().clone(),
+        &fades_mcu8051::OBSERVED_PORTS,
+        ctx.workload_cycles(),
+        fades_core::CampaignConfig {
+            batch: false,
+            ..fades_core::CampaignConfig::default()
+        },
+    )
+    .expect("scalar oracle campaign");
+    let small_bits = oracle
         .run(&load, SMALL_N as usize, 7)
         .expect("monolithic small");
     let small_bits = format!("{:016x}", small_bits.emulation_seconds.to_bits());
