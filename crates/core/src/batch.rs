@@ -28,6 +28,7 @@
 //! host cost is the per-fault *share*, not the whole word's residency.
 
 use std::cell::Cell;
+use std::collections::HashSet;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::Instant;
 
@@ -36,13 +37,13 @@ use fades_telemetry::{Recorder, RecorderHandle};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use crate::campaign::panic_message;
+use crate::campaign::{panic_message, ExecMode};
 use crate::classify::Outcome;
 use crate::error::CoreError;
 use crate::experiment::ExperimentResult;
 use crate::golden::GoldenRun;
 use crate::location::ResolvedFault;
-use crate::plan::{ChaosPanic, PlannedExperiment};
+use crate::plan::{ChaosPanic, ExperimentVerdict, PlannedExperiment};
 use crate::strategies::{strategy_for, InjectionStrategy};
 use crate::timing::LedgerSummary;
 
@@ -65,34 +66,6 @@ pub(crate) fn lane_expressible(fault: &ResolvedFault) -> bool {
                 ..
             }
     )
-}
-
-/// Validates the entries against the golden run length and resolves the
-/// observed ports to lane-engine wire lists — the shared prologue of
-/// every cohort loop.
-pub(crate) fn lane_prologue(
-    batch: &BatchDevice,
-    golden: &GoldenRun,
-    ports: &[String],
-    entries: &[&PlannedExperiment],
-) -> Result<Vec<Vec<u32>>, CoreError> {
-    let run_cycles = golden.cycles();
-    for e in entries {
-        if e.schedule.inject_at >= run_cycles {
-            return Err(CoreError::BadSchedule {
-                at: e.schedule.inject_at,
-                run_cycles,
-            });
-        }
-    }
-    ports
-        .iter()
-        .map(|p| {
-            batch
-                .output_wires(p)
-                .map_err(|_| CoreError::UnknownPort(p.clone()))
-        })
-        .collect()
 }
 
 /// The cohort's shared wall clock: charges elapsed intervals evenly
@@ -203,18 +176,18 @@ fn attributed<T>(in_flight: &Cell<u64>, index: u64, f: impl FnOnce() -> T) -> T 
 /// journals, so a kill forfeits at most the in-flight word).
 ///
 /// Every entry taken from `pending` is pushed to `loaded` *before* it
-/// can influence the device — `loaded` is caller-owned so that when this
-/// function panics (a poisoned fault, or the chaos hook), the caller
-/// knows exactly which experiments were aboard the word and can replay
-/// them scalar-isolated. Likewise `in_flight` holds the plan index of the
-/// experiment whose strategy code runs, and `u64::MAX` while shared
-/// engine code runs, so a fail-fast caller can name the experiment a
-/// panic came from without blaming a bystander for one in the engine.
+/// can influence the device, so that when this function fails or panics
+/// (a poisoned fault, or the chaos hook), [`run_lane_cohorts`] knows
+/// exactly which experiments were aboard the word and can evict them.
+/// Likewise `in_flight` holds the plan index of the experiment whose
+/// strategy code runs, and `u64::MAX` while shared engine code runs, so a
+/// fail-fast run can name the experiment a panic came from without
+/// blaming a bystander for one in the engine.
 ///
 /// Returns the entries this pass could not take: those whose injection
 /// instant had already passed when a lane freed up, plus everything
 /// beyond the last refill. The caller loops until the return is empty.
-pub(crate) fn run_one_cohort<'p>(
+fn run_one_cohort<'p>(
     batch: &mut BatchDevice,
     golden: &GoldenRun,
     port_wires: &[Vec<u32>],
@@ -428,112 +401,159 @@ pub(crate) fn run_one_cohort<'p>(
     Ok(leftovers)
 }
 
-/// Builds the run-log record of a retired lane experiment.
-pub(crate) type RecordFn<'a> =
-    dyn Fn(u64, &ExperimentResult) -> fades_telemetry::ExperimentRecord + Sync + 'a;
+/// Settles one retired lane experiment into its verdict, given the
+/// retiring thread's recorder handle: the caller prices its modelled
+/// time, records it and shows it to an isolated run's observer.
+pub(crate) type SettleFn<'a> =
+    dyn Fn(u64, ExperimentResult, Option<&RecorderHandle>) -> ExperimentVerdict + Sync + 'a;
 
 /// Runs every entry of `entries` through the lane engine, one experiment
-/// per lane, over as many passes as refilling requires. Returns
-/// `(plan index, result)` pairs in ascending plan-index order.
+/// per lane, over as many passes as refilling requires — the one driver
+/// of [`run_one_cohort`], for both failure policies. Each experiment is
+/// handed to `settle` the moment its lane retires (with one recorder
+/// handle per lane thread), so progress and journals stay live while the
+/// cohorts run. Returns the settled verdicts, in no particular order,
+/// and the entries evicted from the lanes.
 ///
-/// With `record`, each experiment is recorded the moment its lane
-/// retires (through one recorder handle per lane thread), so campaign
-/// progress stays live while the cohorts run.
+/// After a failed pass (an experiment error, or a panic — the
+/// `FADES_CHAOS_PANIC` hook included) `mode` decides:
 ///
-/// Fails fast: the first experiment error aborts the run, and a panic
-/// inside a cohort (the `FADES_CHAOS_PANIC` hook included) surfaces as
-/// [`CoreError::ExperimentPanic`] naming the experiment whose strategy
-/// code was running — as on the scalar path, never as an unwinding
-/// caller.
+/// * [`ExecMode::FailFast`] returns the error, or
+///   [`CoreError::ExperimentPanic`] naming the experiment whose strategy
+///   code was running — as on the scalar path, never as an unwinding
+///   caller.
+/// * [`ExecMode::Isolated`] evicts the experiments that were aboard the
+///   word and had not retired, rebuilds the thread's engine from
+///   `pristine`, and carries on with the rest. The caller replays the
+///   evicted entries on the scalar isolated path, which retries and
+///   quarantines the actual offender per experiment — one poisoned fault
+///   costs one word replay, never the run.
 ///
 /// With `threads > 1` the sorted plan is split into contiguous chunks,
-/// each run on its own clone of the engine. Per-experiment results are
+/// each run on its own clone of `pristine`. Per-experiment results are
 /// independent of cohort composition (lanes interact only with the
 /// golden lane, and timing draws are lane-invariant), so the merged
 /// results are bit-identical to the single-threaded run — the same
 /// property the sharded-dispatch suite already pins down.
 pub(crate) fn run_lane_cohorts<'p>(
-    batch: &mut BatchDevice,
+    pristine: &BatchDevice,
     golden: &GoldenRun,
     ports: &[String],
     sub_cycle: bool,
     entries: &[&'p PlannedExperiment],
     threads: usize,
-    record: Option<(&Recorder, &RecordFn<'_>)>,
-) -> Result<Vec<(u64, ExperimentResult)>, CoreError> {
-    let port_wires = lane_prologue(batch, golden, ports, entries)?;
+    mode: ExecMode<'_>,
+    recorder: Option<&Recorder>,
+    settle: &SettleFn<'_>,
+) -> Result<(Vec<ExperimentVerdict>, Vec<&'p PlannedExperiment>), CoreError> {
+    let run_cycles = golden.cycles();
+    for e in entries {
+        if e.schedule.inject_at >= run_cycles {
+            return Err(CoreError::BadSchedule {
+                at: e.schedule.inject_at,
+                run_cycles,
+            });
+        }
+    }
+    let port_wires = ports
+        .iter()
+        .map(|p| {
+            pristine
+                .output_wires(p)
+                .map_err(|_| CoreError::UnknownPort(p.clone()))
+        })
+        .collect::<Result<Vec<_>, _>>()?;
 
     // Ascending injection instants maximise refills: a freed lane can
     // only take an entry whose injection instant has not yet passed.
     let mut pending: Vec<&'p PlannedExperiment> = entries.to_vec();
     pending.sort_by_key(|e| (e.schedule.inject_at, e.index));
 
-    let to_record = record.map(|(_, f)| f);
     let chaos = ChaosPanic::from_env();
-    let run_chunk = |engine: &mut BatchDevice,
-                     chunk: &[&'p PlannedExperiment],
-                     handle: Option<RecorderHandle>|
-     -> Result<Vec<(u64, ExperimentResult)>, CoreError> {
-        let mut out = Vec::with_capacity(chunk.len());
+    let run_chunk = |chunk: &[&'p PlannedExperiment], handle: Option<RecorderHandle>| {
+        let mut engine = pristine.clone();
+        let mut settled = Vec::with_capacity(chunk.len());
+        let mut evicted = Vec::new();
         let mut rest = chunk.to_vec();
         let in_flight = Cell::new(u64::MAX);
         while !rest.is_empty() {
+            let mut loaded = Vec::new();
+            let settled_before = settled.len();
             let pass = catch_unwind(AssertUnwindSafe(|| {
                 run_one_cohort(
-                    engine,
+                    &mut engine,
                     golden,
                     &port_wires,
                     sub_cycle,
                     &rest,
                     chaos,
-                    &mut Vec::new(),
+                    &mut loaded,
                     &in_flight,
-                    &mut |index, result| {
-                        if let (Some(h), Some(f)) = (&handle, to_record) {
-                            h.record(f(index, &result));
-                        }
-                        out.push((index, result));
-                    },
+                    &mut |index, result| settled.push(settle(index, result, handle.as_ref())),
                 )
             }));
-            rest = pass.map_err(|payload| CoreError::ExperimentPanic {
-                index: in_flight.get(),
-                message: panic_message(payload.as_ref()),
-            })??;
+            let failure = match pass {
+                Ok(Ok(leftovers)) => {
+                    rest = leftovers;
+                    continue;
+                }
+                Ok(Err(e)) => e,
+                Err(payload) => CoreError::ExperimentPanic {
+                    index: in_flight.get(),
+                    message: panic_message(payload.as_ref()),
+                },
+            };
+            if let ExecMode::FailFast = mode {
+                return Err(failure);
+            }
+            // The word died mid-pass. Lanes that retired before the
+            // failure are settled; everything else aboard is evicted.
+            let retired: HashSet<u64> = settled[settled_before..]
+                .iter()
+                .map(ExperimentVerdict::index)
+                .collect();
+            evicted.extend(loaded.iter().filter(|e| !retired.contains(&e.index)));
+            if loaded.is_empty() {
+                // Died before taking any work: no lane progress is
+                // possible, so the rest is evicted too.
+                evicted.append(&mut rest);
+            } else {
+                let aboard: HashSet<u64> = loaded.iter().map(|e| e.index).collect();
+                rest.retain(|e| !aboard.contains(&e.index));
+            }
+            // The word may hold a half-installed fault.
+            engine = pristine.clone();
         }
-        Ok(out)
+        Ok((settled, evicted))
     };
-    let handle = || record.map(|(r, _)| r.handle());
+    let handle = || recorder.map(Recorder::handle);
 
     // No point spinning up a word for fewer entries than a word holds.
     let threads = threads.clamp(1, pending.len().div_ceil(LANES - 1).max(1));
-    let mut results = if threads <= 1 {
-        run_chunk(batch, &pending, handle())?
-    } else {
-        let chunk_len = pending.len().div_ceil(threads);
-        let run_chunk = &run_chunk;
-        let chunk_results = crossbeam::thread::scope(|scope| {
-            let handles: Vec<_> = pending
-                .chunks(chunk_len)
-                .map(|chunk| {
-                    let mut engine = batch.clone();
-                    let handle = handle();
-                    scope.spawn(move |_| run_chunk(&mut engine, chunk, handle))
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
-                .collect::<Vec<_>>()
-        })
-        .unwrap_or_else(|p| std::panic::resume_unwind(p));
-        let mut results = Vec::with_capacity(entries.len());
-        for r in chunk_results {
-            results.extend(r?);
-        }
-        results
-    };
-
-    results.sort_by_key(|(index, _)| *index);
-    Ok(results)
+    if threads <= 1 {
+        return run_chunk(&pending, handle());
+    }
+    let chunk_len = pending.len().div_ceil(threads);
+    let run_chunk = &run_chunk;
+    let chunk_runs = crossbeam::thread::scope(|scope| {
+        let handles: Vec<_> = pending
+            .chunks(chunk_len)
+            .map(|chunk| {
+                let handle = handle();
+                scope.spawn(move |_| run_chunk(chunk, handle))
+            })
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
+            .collect::<Vec<_>>()
+    })
+    .unwrap_or_else(|p| std::panic::resume_unwind(p));
+    let (mut settled, mut evicted) = (Vec::with_capacity(entries.len()), Vec::new());
+    for run in chunk_runs {
+        let (s, e) = run?;
+        settled.extend(s);
+        evicted.extend(e);
+    }
+    Ok((settled, evicted))
 }

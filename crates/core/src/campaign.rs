@@ -136,8 +136,10 @@ impl CampaignStats {
     }
 }
 
-/// How the executor responds to a failing experiment.
-enum ExecMode<'a> {
+/// How the executors — scalar and lane — respond to a failing
+/// experiment.
+#[derive(Clone, Copy)]
+pub(crate) enum ExecMode<'a> {
     /// Propagate the first error; let panics unwind the worker (they are
     /// converted to [`CoreError::ExperimentPanic`] at join time).
     FailFast,
@@ -181,6 +183,57 @@ fn experiment_record(
         attempts: u64::from(attempts),
         engine,
     }
+}
+
+/// Files one decided experiment from the thread that decided it: its
+/// run-log record (quarantined experiments have none), then, under
+/// isolation, the observer. `engine` names the executor (`"lane"` or
+/// `"scalar"`).
+fn file_verdict(
+    verdict: &ExperimentVerdict,
+    target: &str,
+    engine: &'static str,
+    rec: Option<&RecorderHandle>,
+    mode: ExecMode<'_>,
+) {
+    if let (
+        Some(h),
+        ExperimentVerdict::Completed {
+            index,
+            result,
+            modelled_seconds,
+            attempts,
+        },
+    ) = (rec, verdict)
+    {
+        h.record(experiment_record(
+            target,
+            *index,
+            result,
+            *modelled_seconds,
+            *attempts,
+            engine,
+        ));
+    }
+    if let ExecMode::Isolated {
+        observer: Some(f), ..
+    } = mode
+    {
+        f(verdict);
+    }
+}
+
+/// The results of fail-fast verdicts, which are never quarantined.
+fn completed(verdicts: Vec<ExperimentVerdict>) -> Vec<ExperimentResult> {
+    verdicts
+        .into_iter()
+        .map(|v| match v {
+            ExperimentVerdict::Completed { result, .. } => result,
+            ExperimentVerdict::Quarantined { .. } => {
+                unreachable!("fail-fast execution never quarantines")
+            }
+        })
+        .collect()
 }
 
 /// Renders a panic payload for error reports (string payloads pass
@@ -386,76 +439,11 @@ impl<'n> Campaign<'n> {
         plan: &CampaignPlan,
         recorder: Option<&Recorder>,
     ) -> Result<Vec<ExperimentResult>, CoreError> {
-        if !self.config.batch {
-            return self.execute(plan, recorder);
-        }
-        let Some(mut engine) = fades_fpga::BatchDevice::new(&self.device) else {
-            // The design is not lane-encodable (pristine memory contents
-            // carry bits beyond their declared width, or a word is wider
-            // than 64 bits): run everything scalar.
-            return self.execute(plan, recorder);
-        };
-        if plan.is_empty() {
-            return Ok(Vec::new());
-        }
-
-        let on_lane = |e: &PlannedExperiment| crate::batch::lane_expressible(&e.fault);
-        let lane_entries: Vec<&PlannedExperiment> =
-            plan.experiments.iter().filter(|e| on_lane(e)).collect();
-        let scalar_plan = CampaignPlan {
-            target: plan.target.clone(),
-            sub_cycle: plan.sub_cycle,
-            seed: plan.seed,
-            n_total: plan.n_total,
-            experiments: plan
-                .experiments
-                .iter()
-                .filter(|e| !on_lane(e))
-                .cloned()
-                .collect(),
-        };
-        let scalar_results = if scalar_plan.is_empty() {
-            Vec::new()
-        } else {
-            self.execute(&scalar_plan, recorder)?
-        };
-
-        let record = |index: u64, result: &ExperimentResult| {
-            experiment_record(
-                &plan.target,
-                index,
-                result,
-                self.modelled_seconds(result),
-                1,
-                "lane",
-            )
-        };
-        let lane_results = crate::batch::run_lane_cohorts(
-            &mut engine,
-            &self.golden,
-            &self.ports,
-            plan.sub_cycle,
-            &lane_entries,
-            self.config.threads,
-            recorder.map(|r| (r, &record as &crate::batch::RecordFn<'_>)),
-        )?;
-
-        // Stitch the two result streams back into plan order (float
-        // accumulation order is part of the bit-identical contract).
-        let mut by_index: std::collections::HashMap<u64, ExperimentResult> =
-            lane_results.into_iter().collect();
-        for (e, r) in scalar_plan.experiments.iter().zip(scalar_results) {
-            by_index.insert(e.index, r);
-        }
-        Ok(plan
-            .experiments
-            .iter()
-            .map(|e| {
-                by_index
-                    .remove(&e.index)
-                    .unwrap_or_else(|| unreachable!("every plan entry was executed"))
-            })
-            .collect())
+        Ok(completed(self.execute_lanes(
+            plan,
+            recorder,
+            ExecMode::FailFast,
+        )?))
     }
 
     /// Samples the campaign's complete fault list deterministically up
@@ -596,16 +584,11 @@ impl<'n> Campaign<'n> {
         plan: &CampaignPlan,
         recorder: Option<&Recorder>,
     ) -> Result<Vec<ExperimentResult>, CoreError> {
-        let verdicts = self.execute_mode(plan, recorder, ExecMode::FailFast)?;
-        Ok(verdicts
-            .into_iter()
-            .map(|v| match v {
-                ExperimentVerdict::Completed { result, .. } => result,
-                ExperimentVerdict::Quarantined { .. } => {
-                    unreachable!("fail-fast execution never quarantines")
-                }
-            })
-            .collect())
+        Ok(completed(self.execute_mode(
+            plan,
+            recorder,
+            ExecMode::FailFast,
+        )?))
     }
 
     /// Executes `plan` with per-experiment fault containment: each
@@ -640,23 +623,24 @@ impl<'n> Campaign<'n> {
     }
 
     /// The lane engine under the isolation contract: lane-expressible
-    /// experiments run 63 per `u64` word, everything else (and every
-    /// fallback) goes through [`execute_isolated`](Self::execute_isolated)
-    /// — same retry/quarantine semantics, same verdict shapes, outcomes
-    /// and modelled seconds bit-identical to the scalar isolated path.
+    /// experiments run 63 per `u64` word, everything else goes through
+    /// [`execute_isolated`](Self::execute_isolated) — same retry/quarantine
+    /// semantics, same verdict shapes, outcomes and modelled seconds
+    /// bit-identical to the scalar isolated path.
     ///
     /// `observer` is invoked at lane *retirement* — the moment a lane's
     /// outcome is decided, not when the whole cohort finishes — so a
-    /// journaling observer forfeits at most the in-flight word on a kill.
+    /// journaling observer forfeits at most the in-flight word of each
+    /// lane thread on a kill.
     ///
     /// A panicking or erroring cohort is contained, not propagated: the
     /// experiments that were aboard the word and not yet retired are
-    /// replayed on the scalar isolated path, where the existing
-    /// per-experiment retry (`retries` attempts on a pristine device) and
-    /// quarantine machinery isolates the actual offender. One poisoned
-    /// fault therefore costs one scalar cohort replay, never the shard.
-    /// Experiments never loaded into the poisoned word stay on the
-    /// batched path (the engine is rebuilt from the pristine device).
+    /// replayed on the scalar isolated path, where the per-experiment
+    /// retry (`retries` attempts on a pristine device) and quarantine
+    /// machinery isolates the actual offender. One poisoned fault
+    /// therefore costs one scalar word replay, never the shard.
+    /// Experiments never loaded into the poisoned word stay on the lanes
+    /// (the engine is rebuilt from a pristine clone).
     ///
     /// Falls back to [`execute_isolated`](Self::execute_isolated)
     /// wholesale when [`CampaignConfig::batch`] is off or the design is
@@ -673,146 +657,57 @@ impl<'n> Campaign<'n> {
         recorder: Option<&Recorder>,
         observer: Option<&(dyn Fn(&ExperimentVerdict) + Sync)>,
     ) -> Result<Vec<ExperimentVerdict>, CoreError> {
-        if !self.config.batch {
-            return self.execute_isolated(plan, retries, recorder, observer);
-        }
-        let Some(mut engine) = fades_fpga::BatchDevice::new(&self.device) else {
-            return self.execute_isolated(plan, retries, recorder, observer);
+        self.execute_lanes(plan, recorder, ExecMode::Isolated { retries, observer })
+    }
+
+    /// The lane executor behind both failure policies: partitions `plan`
+    /// into lane-expressible entries and the rest, runs the former on the
+    /// lane engine and the latter — plus anything the lanes evicted —
+    /// through [`execute_mode`](Self::execute_mode), and stitches the
+    /// verdicts back into plan order. Runs everything through
+    /// `execute_mode` when batching is off or the design is not
+    /// lane-encodable (pristine memory contents carry bits beyond their
+    /// declared width, or a word is wider than 64 bits).
+    fn execute_lanes(
+        &self,
+        plan: &CampaignPlan,
+        recorder: Option<&Recorder>,
+        mode: ExecMode<'_>,
+    ) -> Result<Vec<ExperimentVerdict>, CoreError> {
+        let engine = (self.config.batch && !plan.is_empty())
+            .then(|| fades_fpga::BatchDevice::new(&self.device))
+            .flatten();
+        let Some(pristine) = engine else {
+            return self.execute_mode(plan, recorder, mode);
         };
-        if plan.is_empty() {
-            return Ok(Vec::new());
-        }
-
-        let on_lane = |e: &PlannedExperiment| crate::batch::lane_expressible(&e.fault);
-        let lane_entries: Vec<&PlannedExperiment> =
-            plan.experiments.iter().filter(|e| on_lane(e)).collect();
-        let scalar_plan = CampaignPlan {
-            target: plan.target.clone(),
-            sub_cycle: plan.sub_cycle,
-            seed: plan.seed,
-            n_total: plan.n_total,
-            experiments: plan
-                .experiments
-                .iter()
-                .filter(|e| !on_lane(e))
-                .cloned()
-                .collect(),
-        };
-        let mut verdicts: Vec<ExperimentVerdict> = if scalar_plan.is_empty() {
-            Vec::new()
-        } else {
-            self.execute_isolated(&scalar_plan, retries, recorder, observer)?
-        };
-
-        let port_wires =
-            crate::batch::lane_prologue(&engine, &self.golden, &self.ports, &lane_entries)?;
-        let chaos = ChaosPanic::from_env();
-        let handle: Option<RecorderHandle> = recorder.map(Recorder::handle);
-
-        let mut pending: Vec<&PlannedExperiment> = lane_entries;
-        pending.sort_by_key(|e| (e.schedule.inject_at, e.index));
-        // Experiments evicted from the batched path by a poisoned cohort,
-        // replayed scalar-isolated after the lane loop.
-        let mut fallback: Vec<PlannedExperiment> = Vec::new();
-
-        while !pending.is_empty() {
-            let mut loaded: Vec<&PlannedExperiment> = Vec::new();
-            let mut retired: Vec<ExperimentVerdict> = Vec::new();
-            let outcome = {
-                let engine = &mut engine;
-                let loaded = &mut loaded;
-                let retired = &mut retired;
-                let pending = &pending;
-                catch_unwind(AssertUnwindSafe(|| {
-                    crate::batch::run_one_cohort(
-                        engine,
-                        &self.golden,
-                        &port_wires,
-                        plan.sub_cycle,
-                        pending,
-                        chaos,
-                        loaded,
-                        &std::cell::Cell::new(u64::MAX),
-                        &mut |index, result| {
-                            let modelled_seconds = self.modelled_seconds(&result);
-                            if let Some(h) = &handle {
-                                h.record(experiment_record(
-                                    &plan.target,
-                                    index,
-                                    &result,
-                                    modelled_seconds,
-                                    1,
-                                    "lane",
-                                ));
-                            }
-                            let verdict = ExperimentVerdict::Completed {
-                                index,
-                                modelled_seconds,
-                                attempts: 1,
-                                result,
-                            };
-                            if let Some(f) = observer {
-                                f(&verdict);
-                            }
-                            retired.push(verdict);
-                        },
-                    )
-                }))
+        let (lane_entries, mut scalar_entries): (Vec<_>, Vec<_>) = plan
+            .experiments
+            .iter()
+            .partition(|e| crate::batch::lane_expressible(&e.fault));
+        let settle = |index, result, handle: Option<&RecorderHandle>| {
+            let verdict = ExperimentVerdict::Completed {
+                index,
+                modelled_seconds: self.modelled_seconds(&result),
+                attempts: 1,
+                result,
             };
-            match outcome {
-                Ok(Ok(leftovers)) => {
-                    verdicts.append(&mut retired);
-                    pending = leftovers;
-                }
-                Ok(Err(_)) | Err(_) => {
-                    // The cohort died mid-pass. Lanes that retired before
-                    // the failure are decided (and already observed);
-                    // everything else that was aboard the word replays on
-                    // the scalar isolated path, which retries and
-                    // quarantines the actual offender per experiment.
-                    let decided: std::collections::HashSet<u64> =
-                        retired.iter().map(ExperimentVerdict::index).collect();
-                    verdicts.append(&mut retired);
-                    fallback.extend(
-                        loaded
-                            .iter()
-                            .filter(|e| !decided.contains(&e.index))
-                            .map(|e| (*e).clone()),
-                    );
-                    if loaded.is_empty() {
-                        // Died before taking any work: batched progress is
-                        // impossible, hand the rest to the scalar path.
-                        fallback.extend(pending.iter().map(|e| (*e).clone()));
-                        pending.clear();
-                    } else {
-                        let aboard: std::collections::HashSet<u64> =
-                            loaded.iter().map(|e| e.index).collect();
-                        pending.retain(|e| !aboard.contains(&e.index));
-                    }
-                    // The word may hold a half-installed fault; rebuild
-                    // the engine from the pristine device.
-                    match fades_fpga::BatchDevice::new(&self.device) {
-                        Some(rebuilt) => engine = rebuilt,
-                        None => {
-                            fallback.extend(pending.iter().map(|e| (*e).clone()));
-                            pending.clear();
-                        }
-                    }
-                }
-            }
-        }
-
-        if !fallback.is_empty() {
-            fallback.sort_by_key(|e| e.index);
-            let fallback_plan = CampaignPlan {
-                target: plan.target.clone(),
-                sub_cycle: plan.sub_cycle,
-                seed: plan.seed,
-                n_total: plan.n_total,
-                experiments: fallback,
-            };
-            verdicts.extend(self.execute_isolated(&fallback_plan, retries, recorder, observer)?);
-        }
+            file_verdict(&verdict, &plan.target, "lane", handle, mode);
+            verdict
+        };
+        let (mut verdicts, evicted) = crate::batch::run_lane_cohorts(
+            &pristine,
+            &self.golden,
+            &self.ports,
+            plan.sub_cycle,
+            &lane_entries,
+            self.config.threads,
+            mode,
+            recorder,
+            &settle,
+        )?;
+        scalar_entries.extend(evicted);
+        let scalar_plan = plan.subplan(scalar_entries.into_iter().cloned());
+        verdicts.extend(self.execute_mode(&scalar_plan, recorder, mode)?);
 
         // Stitch back into plan order (float accumulation order is part
         // of the bit-identical contract).
@@ -848,7 +743,6 @@ impl<'n> Campaign<'n> {
         // Every worker publishes the global index it is about to run, so
         // a panic escaping the fail-fast path can be attributed.
         let in_flight: Vec<AtomicU64> = (0..n_chunks).map(|_| AtomicU64::new(u64::MAX)).collect();
-        let mode = &mode;
 
         crossbeam::thread::scope(|scope| -> Result<(), CoreError> {
             let mut handles = Vec::new();
@@ -923,7 +817,7 @@ impl<'n> Campaign<'n> {
                             // it from the pristine configuration.
                             dev = pristine.clone();
                             let retries = match mode {
-                                ExecMode::Isolated { retries, .. } => *retries,
+                                ExecMode::Isolated { retries, .. } => retries,
                                 ExecMode::FailFast => 0,
                             };
                             if attempt >= retries {
@@ -937,31 +831,7 @@ impl<'n> Campaign<'n> {
                             fades_telemetry::dispatch::RETRIES.inc();
                             attempt += 1;
                         };
-                        if let (
-                            Some(h),
-                            ExperimentVerdict::Completed {
-                                result,
-                                modelled_seconds,
-                                attempts,
-                                ..
-                            },
-                        ) = (&rec, &verdict)
-                        {
-                            h.record(experiment_record(
-                                target,
-                                planned.index,
-                                result,
-                                *modelled_seconds,
-                                *attempts,
-                                "scalar",
-                            ));
-                        }
-                        if let ExecMode::Isolated {
-                            observer: Some(f), ..
-                        } = mode
-                        {
-                            f(&verdict);
-                        }
+                        file_verdict(&verdict, target, "scalar", rec.as_ref(), mode);
                         *out = Some(verdict);
                     }
                     fades_telemetry::trace::clear_current_experiment();

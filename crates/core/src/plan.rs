@@ -111,18 +111,29 @@ impl CampaignPlan {
         if count == 0 || index >= count {
             return Err(CoreError::ShardGeometry { index, count });
         }
-        Ok(CampaignPlan {
+        Ok(self.subplan(
+            self.experiments
+                .iter()
+                .filter(|e| e.index % count as u64 == index as u64)
+                .cloned(),
+        ))
+    }
+
+    /// A plan over `experiments` — a subset of this plan's, global
+    /// indices kept — inheriting this plan's target, sub-cycle flag, seed
+    /// and universe size. Every sub-plan (shard, cancellation chunk,
+    /// engine partition) is built here.
+    pub fn subplan(
+        &self,
+        experiments: impl IntoIterator<Item = PlannedExperiment>,
+    ) -> CampaignPlan {
+        CampaignPlan {
             target: self.target.clone(),
             sub_cycle: self.sub_cycle,
             seed: self.seed,
             n_total: self.n_total,
-            experiments: self
-                .experiments
-                .iter()
-                .filter(|e| e.index % count as u64 == index as u64)
-                .cloned()
-                .collect(),
-        })
+            experiments: experiments.into_iter().collect(),
+        }
     }
 
     /// Drops the experiments whose global index is in `done` (journal

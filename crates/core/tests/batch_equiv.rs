@@ -304,8 +304,8 @@ fn disabling_batch_makes_run_scalar() {
 }
 
 /// Asserts two isolated-executor verdict streams are equivalent:
-/// identical indices, outcomes, traffic and bit-identical modelled
-/// seconds.
+/// identical indices, outcomes, traffic, attempts and bit-identical
+/// modelled seconds.
 fn assert_verdicts_equivalent(
     batched: &[fades_core::ExperimentVerdict],
     scalar: &[fades_core::ExperimentVerdict],
@@ -319,14 +319,17 @@ fn assert_verdicts_equivalent(
                 V::Completed {
                     modelled_seconds: bm,
                     result: br,
+                    attempts: ba,
                     ..
                 },
                 V::Completed {
                     modelled_seconds: sm,
                     result: sr,
+                    attempts: sa,
                     ..
                 },
             ) => {
+                assert_eq!(ba, sa, "index {}", b.index());
                 assert_eq!(br.outcome, sr.outcome, "index {}", b.index());
                 assert_eq!(br.traffic, sr.traffic, "index {}", b.index());
                 assert_eq!(
@@ -367,6 +370,42 @@ fn batched_isolated_matches_scalar_isolated_bitwise() {
     assert_eq!(
         seen,
         (0..70).collect::<Vec<u64>>(),
+        "observer must fire exactly once per experiment"
+    );
+}
+
+#[test]
+fn threaded_batched_isolated_matches_scalar_isolated_bitwise() {
+    let _lanes = lanes_running();
+    // The isolated lane executor chunks the injection-sorted plan across
+    // lane threads exactly as the fail-fast one does: on four threads
+    // over five words' worth of experiments, every verdict must still be
+    // bit-identical to the scalar isolated executor, and the observer —
+    // now called from several lane threads — must see each experiment
+    // exactly once.
+    let (nl, imp) = lfsr_design();
+    let config = CampaignConfig {
+        threads: 4,
+        ..config(true)
+    };
+    let campaign = Campaign::with_config(&nl, imp, &["q"], 150, config).unwrap();
+    let load = FaultLoad::bit_flips(TargetClass::AllFfs, DurationRange::SHORT);
+    let n = 300;
+    let plan = campaign.plan(&load, n, 223).unwrap();
+
+    let observed = std::sync::Mutex::new(Vec::new());
+    let observer = |v: &fades_core::ExperimentVerdict| observed.lock().unwrap().push(v.index());
+    let batched = campaign
+        .execute_batched_isolated(&plan, 1, None, Some(&observer))
+        .unwrap();
+    let scalar = campaign.execute_isolated(&plan, 1, None, None).unwrap();
+    assert_verdicts_equivalent(&batched, &scalar);
+
+    let mut seen = observed.into_inner().unwrap();
+    seen.sort_unstable();
+    assert_eq!(
+        seen,
+        (0..n as u64).collect::<Vec<u64>>(),
         "observer must fire exactly once per experiment"
     );
 }

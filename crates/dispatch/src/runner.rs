@@ -23,14 +23,6 @@ pub struct ShardOptions {
     /// Whether to feed the session [`Recorder`] (run log + aggregate)
     /// while executing.
     pub with_recorder: bool,
-    /// Whether to run lane-expressible experiments on the bit-parallel
-    /// lane engine (63 per `u64` word) via
-    /// [`Campaign::execute_batched_isolated`]. Outcomes, modelled
-    /// seconds and journal contents are bit-identical to the scalar
-    /// isolated path — this changes host wall-clock only. Defaults to
-    /// [`fades_core::batch_default`] (the `FADES_NO_BATCH` escape
-    /// hatch).
-    pub batch: bool,
     /// Cooperative cancellation. When set, the runner executes the
     /// pending experiments in bounded chunks and checks the token
     /// between chunks: on cancellation the in-flight chunk retires (and
@@ -47,7 +39,6 @@ impl Default for ShardOptions {
             load: String::new(),
             retries: 1,
             with_recorder: false,
-            batch: fades_core::batch_default(),
             cancel: None,
         }
     }
@@ -112,12 +103,14 @@ pub fn lint_gate(bitstream: &fades_fpga::Bitstream) -> Result<(), DispatchError>
 /// a pristine device and then quarantined — journaled and counted, never
 /// fatal to the shard.
 ///
-/// With `opts.batch` (the default), lane-expressible experiments run on
-/// the bit-parallel lane engine under the same isolation contract: each
-/// experiment is journaled the moment its lane retires, and a cohort
-/// poisoned by one bad fault falls back to the scalar path where the
-/// offender is retried and quarantined individually. Journal contents
-/// and merged stats are bit-identical either way.
+/// Execution goes through [`Campaign::execute_batched_isolated`], so the
+/// campaign's own [`CampaignConfig::batch`](fades_core::CampaignConfig)
+/// picks the engine: lane-expressible experiments run on the
+/// bit-parallel lane engine (63 per `u64` word) under the same isolation
+/// contract — each experiment is journaled the moment its lane retires,
+/// and a word poisoned by one bad fault falls back to the scalar path
+/// where the offender is retried and quarantined individually. Journal
+/// contents and merged stats are bit-identical on either engine.
 ///
 /// # Errors
 ///
@@ -164,7 +157,7 @@ pub fn run_shard(
     };
 
     // The observer runs on worker threads; the journal (and the first
-    // append error, which execute_isolated cannot surface) live behind
+    // append error, which the executor cannot surface) live behind
     // mutexes until the single-threaded epilogue below.
     let journal = Mutex::new(journal);
     let append_error: Mutex<Option<DispatchError>> = Mutex::new(None);
@@ -211,18 +204,10 @@ pub fn run_shard(
             threads,
         )
     });
-    let dispatch = |chunk: &CampaignPlan| -> Result<(), DispatchError> {
-        if opts.batch {
-            campaign.execute_batched_isolated(
-                chunk,
-                opts.retries,
-                recorder.as_ref(),
-                Some(&observer),
-            )?;
-        } else {
-            campaign.execute_isolated(chunk, opts.retries, recorder.as_ref(), Some(&observer))?;
-        }
-        Ok(())
+    let dispatch = |chunk: &CampaignPlan| {
+        campaign
+            .execute_batched_isolated(chunk, opts.retries, recorder.as_ref(), Some(&observer))
+            .map(drop)
     };
 
     let mut executed = 0u64;
@@ -233,11 +218,11 @@ pub fn run_shard(
             executed = pending.len() as u64;
         }
         Some(token) => {
-            // Bounded chunks so cancellation latency is a few cohort
-            // words per worker, not the rest of the shard. Chunk
-            // boundaries do not affect results: every experiment is
-            // journaled individually and merges fold in global-index
-            // order regardless of execution order.
+            // Bounded chunks (two lane words per worker thread) so
+            // cancellation latency is a few words, not the rest of the
+            // shard. Chunk boundaries do not affect results: every
+            // experiment is journaled individually and merges fold in
+            // global-index order regardless of execution order.
             let chunk_len = campaign.config().threads.max(1) * 126;
             let mut offset = 0;
             while offset < pending.experiments.len() {
@@ -246,13 +231,7 @@ pub fn run_shard(
                     break;
                 }
                 let end = (offset + chunk_len).min(pending.experiments.len());
-                let chunk = CampaignPlan {
-                    target: pending.target.clone(),
-                    sub_cycle: pending.sub_cycle,
-                    seed: pending.seed,
-                    n_total: pending.n_total,
-                    experiments: pending.experiments[offset..end].to_vec(),
-                };
+                let chunk = pending.subplan(pending.experiments[offset..end].iter().cloned());
                 dispatch(&chunk)?;
                 executed += (end - offset) as u64;
                 offset = end;

@@ -8,7 +8,9 @@
 use std::fs;
 use std::path::PathBuf;
 
-use fades_core::{Campaign, CoreError, DurationRange, ExperimentVerdict, FaultLoad, TargetClass};
+use fades_core::{
+    Campaign, CampaignConfig, CoreError, DurationRange, ExperimentVerdict, FaultLoad, TargetClass,
+};
 use fades_dispatch::{merge, run_shard, ShardOptions};
 use fades_fpga::ArchParams;
 use fades_netlist::UnitTag;
@@ -38,7 +40,15 @@ fn lfsr_campaign() -> (fades_netlist::Netlist, fades_pnr::Implementation) {
 #[test]
 fn chaos_panics_quarantine_retry_and_fail_fast() {
     let (nl, imp) = lfsr_campaign();
-    let campaign = Campaign::new(&nl, imp, &["q"], 150).unwrap();
+    let campaign = Campaign::new(&nl, imp.clone(), &["q"], 150).unwrap();
+    let on_engine = |threads: usize, batch: bool| {
+        let config = CampaignConfig {
+            threads,
+            batch,
+            ..CampaignConfig::default()
+        };
+        Campaign::with_config(&nl, imp.clone(), &["q"], 150, config).unwrap()
+    };
     let load = FaultLoad::bit_flips(TargetClass::AllFfs, DurationRange::SubCycle);
     let plan = campaign.plan(&load, 10, 7).unwrap();
 
@@ -163,7 +173,8 @@ fn chaos_panics_quarantine_retry_and_fail_fast() {
     assert_eq!(fades_telemetry::dispatch::QUARANTINES.get(), 0);
 
     // Scenario 6: the same mid-cohort panic under sharded dispatch. Both
-    // engines journal the quarantine and merge to bit-identical stats.
+    // engines — picked by the campaign's `CampaignConfig::batch` —
+    // journal the quarantine and merge to bit-identical stats.
     let dir = std::env::temp_dir().join(format!("fades-chaos-shard-{}", std::process::id()));
     let _ = fs::remove_dir_all(&dir);
     fs::create_dir_all(&dir).unwrap();
@@ -171,6 +182,7 @@ fn chaos_panics_quarantine_retry_and_fail_fast() {
     let mut merged = Vec::new();
     for batch in [true, false] {
         let engine = if batch { "lane" } else { "scalar" };
+        let campaign = on_engine(campaign.config().threads, batch);
         let journals: Vec<PathBuf> = (0..2u32)
             .map(|shard| {
                 let path = dir.join(format!("{engine}-s{shard}.jsonl"));
@@ -178,7 +190,6 @@ fn chaos_panics_quarantine_retry_and_fail_fast() {
                     load: "bitflip-ffs".into(),
                     retries: 1,
                     with_recorder: false,
-                    batch,
                     cancel: None,
                 };
                 let outcome = run_shard(&campaign, &plan, shard, 2, &path, &opts).unwrap();
@@ -210,4 +221,64 @@ fn chaos_panics_quarantine_retry_and_fail_fast() {
         "sharded batched merge must be bit-identical to the scalar-isolated merge"
     );
     let _ = fs::remove_dir_all(&dir);
+
+    // Scenario 7: the panic lands in the *second* lane thread. On two
+    // threads the injection-sorted lane plan splits into two contiguous
+    // chunks of at least two words each; the victim sits in the second.
+    // That thread evicts its poisoned word and carries on, the offender
+    // is quarantined after one scalar retry, and every bystander matches
+    // the scalar baseline to the bit.
+    let threaded = on_engine(2, true);
+    let plan = threaded.plan(&load, 260, 11).unwrap();
+    let mut sorted: Vec<_> = plan.experiments.iter().collect();
+    sorted.sort_by_key(|e| (e.schedule.inject_at, e.index));
+    let chunk_len = sorted.len().div_ceil(2);
+    assert!(
+        chunk_len >= 2 * 63,
+        "each lane thread gets at least two words"
+    );
+    let victim = sorted[chunk_len + chunk_len / 2].index;
+    let baseline = campaign.execute_isolated(&plan, 1, None, None).unwrap();
+    std::env::set_var("FADES_CHAOS_PANIC", victim.to_string());
+    fades_telemetry::dispatch::reset();
+    let verdicts = threaded
+        .execute_batched_isolated(&plan, 1, None, None)
+        .unwrap();
+    std::env::remove_var("FADES_CHAOS_PANIC");
+    assert_eq!(verdicts.len(), baseline.len());
+    for (v, b) in verdicts.iter().zip(&baseline) {
+        assert_eq!(v.index(), b.index());
+        if v.index() == victim {
+            match v {
+                ExperimentVerdict::Quarantined {
+                    error, attempts, ..
+                } => {
+                    assert_eq!(*attempts, 2, "one scalar retry before quarantine");
+                    assert!(error.contains("chaos"), "{error}");
+                }
+                other => panic!("expected quarantine, got {other:?}"),
+            }
+            continue;
+        }
+        match (v, b) {
+            (
+                ExperimentVerdict::Completed {
+                    modelled_seconds: vm,
+                    result: vr,
+                    ..
+                },
+                ExperimentVerdict::Completed {
+                    modelled_seconds: bm,
+                    result: br,
+                    ..
+                },
+            ) => {
+                assert_eq!(vr.outcome, br.outcome, "bystander {}", v.index());
+                assert_eq!(vr.traffic, br.traffic, "bystander {}", v.index());
+                assert_eq!(vm.to_bits(), bm.to_bits(), "bystander {}", v.index());
+            }
+            other => panic!("bystander {} not completed: {other:?}", v.index()),
+        }
+    }
+    assert_eq!(fades_telemetry::dispatch::QUARANTINES.get(), 1);
 }

@@ -35,16 +35,18 @@ fn lfsr_campaign() -> (fades_netlist::Netlist, fades_pnr::Implementation) {
     (netlist, imp)
 }
 
-/// The fixture on the scalar oracle: a `batch: false` campaign, whose
-/// `run` never touches the lane engine. Monolithic ground truths come
-/// from here so lane-engine shards are checked against the scalar
-/// `Device`, not against the lane engine itself.
-fn scalar_oracle<'n>(
+/// The fixture on the engine `batch` picks ([`CampaignConfig::batch`],
+/// which `run_shard` honours). With `batch: false` it is the scalar
+/// oracle, whose `run` never touches the lane engine: monolithic ground
+/// truths come from there so lane-engine shards are checked against the
+/// scalar `Device`, not against the lane engine itself.
+fn on_engine<'n>(
     nl: &'n fades_netlist::Netlist,
     imp: &fades_pnr::Implementation,
+    batch: bool,
 ) -> Campaign<'n> {
     let config = CampaignConfig {
-        batch: false,
+        batch,
         ..CampaignConfig::default()
     };
     Campaign::with_config(nl, imp.clone(), &["q"], 150, config).unwrap()
@@ -64,10 +66,6 @@ fn opts() -> ShardOptions {
     }
 }
 
-fn opts_batch(batch: bool) -> ShardOptions {
-    ShardOptions { batch, ..opts() }
-}
-
 #[test]
 fn merged_shards_are_bit_identical_to_the_monolithic_run() {
     // Both shard engines — scalar isolated and the batched lane engine —
@@ -78,19 +76,19 @@ fn merged_shards_are_bit_identical_to_the_monolithic_run() {
     let load = FaultLoad::pulses(TargetClass::AllLuts, DurationRange::SHORT);
     let (n, seed) = (30, 42);
 
-    let monolithic = scalar_oracle(&nl, &imp).run(&load, n, seed).unwrap();
+    let monolithic = on_engine(&nl, &imp, false).run(&load, n, seed).unwrap();
     let plan = campaign.plan(&load, n, seed).unwrap();
     let dir = scratch_dir("bitident");
 
     for batch in [false, true] {
         let engine = if batch { "lane" } else { "scalar" };
+        let campaign = on_engine(&nl, &imp, batch);
         for count in [1u32, 2, 3, 5] {
             let journals: Vec<PathBuf> = (0..count)
                 .map(|shard| {
                     let path = dir.join(format!("{engine}-c{count}-s{shard}.jsonl"));
                     let outcome =
-                        run_shard(&campaign, &plan, shard, count, &path, &opts_batch(batch))
-                            .unwrap();
+                        run_shard(&campaign, &plan, shard, count, &path, &opts()).unwrap();
                     assert_eq!(outcome.skipped, 0);
                     assert!(outcome.quarantined.is_empty());
                     path
@@ -197,7 +195,7 @@ fn resume_after_kill_skips_journaled_experiments() {
     // up the remainder (batched again) and still fold to stats
     // bit-identical to the uninterrupted scalar pass.
     let (nl, imp) = lfsr_campaign();
-    let campaign = Campaign::new(&nl, imp, &["q"], 150).unwrap();
+    let campaign = on_engine(&nl, &imp, false);
     let load = FaultLoad::pulses(TargetClass::AllLuts, DurationRange::SubCycle);
     let (n, seed) = (20, 9);
     let plan = campaign.plan(&load, n, seed).unwrap();
@@ -205,16 +203,17 @@ fn resume_after_kill_skips_journaled_experiments() {
 
     // The scalar-isolated reference pass over shard 0 of 2.
     let full_path = dir.join("full.jsonl");
-    let full = run_shard(&campaign, &plan, 0, 2, &full_path, &opts_batch(false)).unwrap();
+    let full = run_shard(&campaign, &plan, 0, 2, &full_path, &opts()).unwrap();
     assert_eq!(full.executed, 10);
 
     for batch in [false, true] {
         let engine = if batch { "lane" } else { "scalar" };
+        let campaign = on_engine(&nl, &imp, batch);
         // A full pass on this engine, then simulate a kill: keep the
         // header + 4 journaled experiments and a torn partial line, as
         // if the process died mid-append.
         let donor_path = dir.join(format!("{engine}-donor.jsonl"));
-        run_shard(&campaign, &plan, 0, 2, &donor_path, &opts_batch(batch)).unwrap();
+        run_shard(&campaign, &plan, 0, 2, &donor_path, &opts()).unwrap();
         let text = fs::read_to_string(&donor_path).unwrap();
         let keep: Vec<&str> = text.lines().take(5).collect();
         let crashed_path = dir.join(format!("{engine}-crashed.jsonl"));
@@ -224,7 +223,7 @@ fn resume_after_kill_skips_journaled_experiments() {
         )
         .unwrap();
 
-        let resumed = run_shard(&campaign, &plan, 0, 2, &crashed_path, &opts_batch(batch)).unwrap();
+        let resumed = run_shard(&campaign, &plan, 0, 2, &crashed_path, &opts()).unwrap();
         assert_eq!(
             resumed.skipped, 4,
             "{engine}: journaled experiments are not re-run"
@@ -279,9 +278,9 @@ fn cancelled_shard_leaves_a_resumable_journal() {
     assert!(!replay.shard_complete, "a cancelled shard is not complete");
 
     // Re-running with a live token resumes and completes (on the lane
-    // engine, `opts()`'s default); stats are bit-identical to the
+    // engine, the campaign's default); stats are bit-identical to the
     // monolithic run of the same plan on the scalar oracle.
-    let monolithic = scalar_oracle(&nl, &imp).run(&load, n, seed).unwrap();
+    let monolithic = on_engine(&nl, &imp, false).run(&load, n, seed).unwrap();
     let live = ShardOptions {
         cancel: Some(CancelToken::new()),
         ..opts()

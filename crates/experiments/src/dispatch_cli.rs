@@ -2,8 +2,8 @@
 //! resumable campaign execution via `fades-dispatch`.
 //!
 //! ```text
-//! fades-experiments shard I/N <journal.jsonl> [load] [--batch|--no-batch]
-//! fades-experiments resume <journal.jsonl> [--batch|--no-batch]
+//! fades-experiments shard I/N <journal.jsonl> [load]
+//! fades-experiments resume <journal.jsonl>
 //! fades-experiments merge <journal.jsonl|dir>...           # fold shards into one result
 //! fades-experiments status <journal.jsonl|dir>... [--watch] # cross-shard progress/ETA
 //! ```
@@ -22,10 +22,10 @@
 //! single-process `campaign.run` when every experiment completed.
 //!
 //! `shard` and `resume` run lane-expressible experiments on the
-//! bit-parallel lane engine by default (`--batch`); `--no-batch` — or
-//! the `FADES_NO_BATCH` environment escape hatch — forces the scalar
-//! per-experiment path. Journal contents and merged stats are
-//! bit-identical either way, so the flag never changes results.
+//! bit-parallel lane engine; the `FADES_NO_BATCH` environment escape
+//! hatch forces the scalar per-experiment path. Journal contents and
+//! merged stats are bit-identical either way, so the switch never
+//! changes results.
 
 use std::error::Error;
 use std::path::Path;
@@ -96,26 +96,8 @@ pub fn try_dispatch(args: &[String]) -> Option<Result<(), Box<dyn Error>>> {
     }
 }
 
-/// Strips `--batch` / `--no-batch` from argv; the last occurrence wins.
-/// `None` means neither was given (defer to [`fades_core::batch_default`],
-/// i.e. batched unless `FADES_NO_BATCH` is set).
-fn split_batch_flag(args: &[String]) -> (Vec<String>, Option<bool>) {
-    let mut batch = None;
-    let mut rest = Vec::new();
-    for arg in args {
-        match arg.as_str() {
-            "--batch" => batch = Some(true),
-            "--no-batch" => batch = Some(false),
-            _ => rest.push(arg.clone()),
-        }
-    }
-    (rest, batch)
-}
-
 fn cmd_shard(args: &[String]) -> Result<(), Box<dyn Error>> {
-    const USAGE: &str = "usage: fades-experiments shard I/N <journal.jsonl> [load] \
-                         [--batch|--no-batch]";
-    let (args, batch) = split_batch_flag(args);
+    const USAGE: &str = "usage: fades-experiments shard I/N <journal.jsonl> [load]";
     let spec = args.first().ok_or(USAGE)?;
     let (shard, count) = parse_shard_spec(spec)?;
     let journal = args.get(1).ok_or(USAGE)?;
@@ -127,27 +109,17 @@ fn cmd_shard(args: &[String]) -> Result<(), Box<dyn Error>> {
         load_name,
         fault_count_from_env(),
         seed_from_env(),
-        batch,
     )
 }
 
 fn cmd_resume(args: &[String]) -> Result<(), Box<dyn Error>> {
-    let (args, batch) = split_batch_flag(args);
     let journal = args
         .first()
-        .ok_or("usage: fades-experiments resume <journal.jsonl> [--batch|--no-batch]")?;
+        .ok_or("usage: fades-experiments resume <journal.jsonl>")?;
     let path = Path::new(journal);
     let replay = Journal::load(path)?;
     let h = replay.header;
-    execute_shard(
-        h.shard,
-        h.of,
-        path,
-        &h.load,
-        h.n_total as usize,
-        h.seed,
-        batch,
-    )
+    execute_shard(h.shard, h.of, path, &h.load, h.n_total as usize, h.seed)
 }
 
 fn execute_shard(
@@ -157,7 +129,6 @@ fn execute_shard(
     load_name: &str,
     n_faults: usize,
     seed: u64,
-    batch: Option<bool>,
 ) -> Result<(), Box<dyn Error>> {
     let ctx = ExperimentContext::new()?;
     let load = named_load(&ctx, load_name).ok_or_else(|| {
@@ -168,20 +139,22 @@ fn execute_shard(
     })?;
     let campaign = ctx.fades_campaign()?;
     let plan = campaign.plan(&load, n_faults, seed)?;
-    let batch = batch.unwrap_or_else(fades_core::batch_default);
     println!(
         "shard {shard}/{count} of `{}` ({} of {} faults), seed {seed}, journal {}, {} engine",
         plan.target,
         plan.try_shard(shard, count)?.len(),
         plan.n_total,
         journal.display(),
-        if batch { "lane" } else { "scalar" },
+        if campaign.config().batch {
+            "lane"
+        } else {
+            "scalar"
+        },
     );
     let opts = ShardOptions {
         load: load_name.to_string(),
         retries: 1,
         with_recorder: true,
-        batch,
         cancel: None,
     };
     let outcome = run_shard(&campaign, &plan, shard, count, journal, &opts)?;
@@ -270,23 +243,6 @@ fn print_merge_report(report: &MergeReport) {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn batch_flags_split_off_and_last_wins() {
-        let strs = |a: &[&str]| {
-            a.iter()
-                .map(std::string::ToString::to_string)
-                .collect::<Vec<_>>()
-        };
-        let (rest, batch) = split_batch_flag(&strs(&["0/2", "j.jsonl", "--no-batch"]));
-        assert_eq!(rest, strs(&["0/2", "j.jsonl"]));
-        assert_eq!(batch, Some(false));
-        let (rest, batch) = split_batch_flag(&strs(&["--no-batch", "j.jsonl", "--batch"]));
-        assert_eq!(rest, strs(&["j.jsonl"]));
-        assert_eq!(batch, Some(true));
-        let (_, batch) = split_batch_flag(&strs(&["0/2", "j.jsonl"]));
-        assert_eq!(batch, None);
-    }
 
     #[test]
     fn shard_spec_parses_and_rejects() {

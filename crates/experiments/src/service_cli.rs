@@ -156,7 +156,6 @@ impl CampaignBackend for ExperimentBackend {
             load: spec.load.clone(),
             retries: 1,
             with_recorder: true,
-            batch: fades_core::batch_default(),
             cancel: Some(cancel.clone()),
         };
         let outcome =

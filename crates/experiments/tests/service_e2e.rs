@@ -219,7 +219,6 @@ fn http_campaigns_survive_sigkill_and_match_monolithic_bits() {
         load: "pulse-luts".into(),
         retries: 1,
         with_recorder: false,
-        batch: true,
         cancel: None,
     };
     fades_dispatch::run_shard(&campaign, &plan, 0, 1, &truth, &opts).expect("monolithic big");

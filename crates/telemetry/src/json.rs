@@ -158,6 +158,7 @@ impl JsonValue {
 /// Returns a description of the first syntax error.
 pub fn parse(input: &str) -> Result<JsonValue, String> {
     let mut p = Parser {
+        src: input,
         bytes: input.as_bytes(),
         pos: 0,
     };
@@ -171,6 +172,7 @@ pub fn parse(input: &str) -> Result<JsonValue, String> {
 }
 
 struct Parser<'a> {
+    src: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
@@ -312,14 +314,16 @@ impl Parser<'_> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar.
-                    let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest).map_err(|e| e.to_string())?;
-                    let Some(c) = s.chars().next() else {
-                        return Err("unterminated string".to_string());
-                    };
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    // Copy the run of plain characters up to the next
+                    // quote or backslash in one go. Both are ASCII, so the
+                    // run ends on a character boundary.
+                    let run = self.bytes[self.pos..]
+                        .iter()
+                        .position(|&b| b == b'"' || b == b'\\')
+                        .ok_or("unterminated string")?;
+                    let end = self.pos + run;
+                    out.push_str(self.src.get(self.pos..end).ok_or("bad UTF-8 boundary")?);
+                    self.pos = end;
                 }
             }
         }
@@ -400,6 +404,22 @@ mod tests {
         assert!(parse("{\"a\":}").is_err());
         assert!(parse("[1,]").is_err());
         assert!(parse("12 34").is_err());
+    }
+
+    #[test]
+    fn long_multibyte_and_escaped_strings_round_trip() {
+        let text = "grüße — \"quoted\" \\ tab\t 日本 🦀 \u{1}";
+        let line = JsonObject::new().str("s", text).finish();
+        let v = parse(&line).expect("parses");
+        assert_eq!(v.get("s").and_then(JsonValue::as_str), Some(text));
+
+        // A 256 KiB string field (the `POST /campaigns` body budget)
+        // parses in one linear pass.
+        let big = "é".repeat(128 << 10);
+        let line = JsonObject::new().str("s", &big).finish();
+        let v = parse(&line).expect("parses");
+        assert_eq!(v.get("s").and_then(JsonValue::as_str), Some(big.as_str()));
+        assert!(parse("\"unterminated é").is_err());
     }
 
     #[test]

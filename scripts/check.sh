@@ -62,37 +62,50 @@ echo "== campaign service end-to-end gate (release)"
 cargo test -q --release --offline -p fades-experiments --test service_e2e
 
 # Sharded-batched chaos gate: a chaos panic landing *inside a lane
-# cohort* must not cost the shard. Both engines run the same 2-shard
-# campaign with `FADES_CHAOS_PANIC=5` (index 5 lives in shard 1), resume
-# of a finished journal must be a no-op, and the merges must agree to
-# the bit — quarantine included.
+# cohort* must not cost the shard. Each leg runs the same 2-shard
+# pulse-luts campaign with `FADES_CHAOS_PANIC=5` (index 5 lives in
+# shard 1); resume of a finished journal must be a no-op and the merge
+# must keep the quarantine. The lane legs' merges must agree to the bit
+# with the scalar legs' (`FADES_NO_BATCH=1`) of the same size. The
+# 300-fault lane leg runs 2 lane threads per shard, 2 words each, so the
+# poisoned word is evicted by one thread while the other carries on.
 echo "== sharded-batched chaos gate (release)"
 gate_dir=$(mktemp -d)
 run_exp() { cargo run -q --release --offline -p fades-experiments -- "$@"; }
-for engine_flag in "lane --batch" "scalar --no-batch"; do
-    # shellcheck disable=SC2086  # splitting engine/flag pair is intended
-    set -- $engine_flag
-    engine=$1 flag=$2
+# chaos_leg <name> <faults>: one leg; the engine switch and thread count
+# come from the caller's environment.
+chaos_leg() {
+    local name=$1 faults=$2
     for shard in 0 1; do
-        FADES_FAULTS=40 FADES_SEED=7 FADES_CHAOS_PANIC=5 \
-            run_exp shard "$shard/2" "$gate_dir/$engine-s$shard.jsonl" pulse-luts "$flag" \
-            >"$gate_dir/$engine-s$shard.txt" 2>/dev/null
+        FADES_FAULTS=$faults FADES_SEED=7 FADES_CHAOS_PANIC=5 \
+            run_exp shard "$shard/2" "$gate_dir/$name-s$shard.jsonl" pulse-luts \
+            >"$gate_dir/$name-s$shard.txt" 2>/dev/null
     done
-    run_exp resume "$gate_dir/$engine-s1.jsonl" "$flag" >"$gate_dir/$engine-resume.txt"
-    grep -q "0 executed, 20 skipped" "$gate_dir/$engine-resume.txt" \
-        || { echo "FAIL: $engine resume of a finished shard re-ran work"; exit 1; }
-    run_exp merge "$gate_dir/$engine-s0.jsonl" "$gate_dir/$engine-s1.jsonl" \
-        >"$gate_dir/$engine-merge.txt"
-    grep -q 'quarantined #5:' "$gate_dir/$engine-merge.txt" \
-        || { echo "FAIL: $engine merge lost the chaos quarantine"; exit 1; }
-done
-lane_bits=$(grep -o '([0-9a-f]\{16\})' "$gate_dir/lane-merge.txt")
-scalar_bits=$(grep -o '([0-9a-f]\{16\})' "$gate_dir/scalar-merge.txt")
-echo "lane merge bits $lane_bits, scalar merge bits $scalar_bits"
-if [ -z "$lane_bits" ] || [ "$lane_bits" != "$scalar_bits" ]; then
-    echo "FAIL: sharded-batched merge is not bit-identical to the scalar-isolated merge"
-    exit 1
-fi
+    run_exp resume "$gate_dir/$name-s1.jsonl" >"$gate_dir/$name-resume.txt"
+    grep -q "0 executed, $((faults / 2)) skipped" "$gate_dir/$name-resume.txt" \
+        || { echo "FAIL: $name resume of a finished shard re-ran work"; exit 1; }
+    run_exp merge "$gate_dir/$name-s0.jsonl" "$gate_dir/$name-s1.jsonl" \
+        >"$gate_dir/$name-merge.txt"
+    grep -q 'quarantined #5:' "$gate_dir/$name-merge.txt" \
+        || { echo "FAIL: $name merge lost the chaos quarantine"; exit 1; }
+}
+# same_bits <lane leg> <scalar leg>: the two merges' stats bits agree.
+same_bits() {
+    local lane_bits scalar_bits
+    lane_bits=$(grep -o '([0-9a-f]\{16\})' "$gate_dir/$1-merge.txt")
+    scalar_bits=$(grep -o '([0-9a-f]\{16\})' "$gate_dir/$2-merge.txt")
+    echo "$1 merge bits $lane_bits, $2 merge bits $scalar_bits"
+    if [ -z "$lane_bits" ] || [ "$lane_bits" != "$scalar_bits" ]; then
+        echo "FAIL: $1 merge is not bit-identical to the $2 merge"
+        exit 1
+    fi
+}
+chaos_leg lane 40
+FADES_NO_BATCH=1 chaos_leg scalar 40
+FADES_THREADS=2 chaos_leg lane-2t 300
+FADES_NO_BATCH=1 chaos_leg scalar-300 300
+same_bits lane scalar
+same_bits lane-2t scalar-300
 rm -rf "$gate_dir"
 
 # Campaign-service CLI smoke gate: the serve/submit/jobs/results/shutdown
